@@ -16,7 +16,7 @@ use bench::{
 use perfbase_core::import::Importer;
 use perfbase_core::input::input_description_from_str;
 use perfbase_core::query::spec::query_from_str;
-use perfbase_core::query::{ParallelQueryRunner, Placement, QueryRunner};
+use perfbase_core::query::{simulated_makespan, QueryRunner};
 use sqldb::cluster::{Cluster, LatencyModel};
 use sqldb::Engine;
 use std::path::PathBuf;
@@ -234,7 +234,7 @@ fn fig3() {
     let dag = perfbase_core::query::QueryDag::build(query_from_str(&spec).unwrap()).unwrap();
     let serial: std::time::Duration = profiled.timings.iter().map(|t| t.wall).sum();
     println!(
-        "profiled serial element work: {serial:?} over {} elements",
+        "profiled element work: {serial:?} summed over {} elements",
         profiled.timings.len()
     );
     println!(
@@ -242,18 +242,13 @@ fn fig3() {
         "nodes", "fast interconnect", "speedup", "gigabit LAN", "speedup"
     );
     for nodes in [1usize, 2, 4, 8, 16] {
-        let fast = perfbase_core::query::parallel::simulated_makespan(
+        let fast = simulated_makespan(
             &dag,
             &profiled.timings,
             nodes,
             LatencyModel::fast_interconnect(),
         );
-        let lan = perfbase_core::query::parallel::simulated_makespan(
-            &dag,
-            &profiled.timings,
-            nodes,
-            LatencyModel::lan(),
-        );
+        let lan = simulated_makespan(&dag, &profiled.timings, nodes, LatencyModel::lan());
         println!(
             "{:<8} {:>18.3?} {:>8.2}x {:>18.3?} {:>8.2}x",
             nodes,
@@ -266,7 +261,7 @@ fn fig3() {
 
     // --- Live execution on this host ---------------------------------------
     println!(
-        "\nlive wall-clock on this host ({} core(s); thread speedup needs more than one):",
+        "\nlive wall-clock on this host ({} core(s), one wave worker per core):",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -287,33 +282,24 @@ fn fig3() {
         best
     };
 
-    let seq = time("sequential", &|| {
+    let local = time("wave-parallel, 1 node", &|| {
         QueryRunner::new(&db)
             .run(query_from_str(&spec).unwrap())
             .unwrap()
     });
-    let par = time("thread-parallel (1 node)", &|| {
-        ParallelQueryRunner::new(&db)
-            .run(query_from_str(&spec).unwrap())
-            .unwrap()
-    });
-    println!(
-        "  speedup vs sequential: {:.2}x",
-        seq.as_secs_f64() / par.as_secs_f64()
-    );
 
     for nodes in [2usize, 4, 8] {
         let cluster = Cluster::new(nodes, LatencyModel::fast_interconnect());
         let t = time(&format!("cluster, {nodes} nodes"), &|| {
-            ParallelQueryRunner::new(&db)
-                .on_cluster(&cluster, Placement::RoundRobin)
+            QueryRunner::new(&db)
+                .on_cluster(&cluster)
                 .run(query_from_str(&spec).unwrap())
                 .unwrap()
         });
         let s = cluster.stats();
         println!(
             "  speedup {:.2}x; socket traffic: {} messages, {} rows, {:?} simulated",
-            seq.as_secs_f64() / t.as_secs_f64(),
+            local.as_secs_f64() / t.as_secs_f64(),
             s.messages,
             s.rows,
             s.simulated

@@ -1,9 +1,12 @@
 //! Query graph construction and validation (Fig. 2: "these elements can be
 //! arbitrarily cascaded" — within the limits checked here).
 
+use super::exec::ElementTiming;
 use super::spec::{ElementKind, QuerySpec};
 use crate::error::{Error, Result};
+use sqldb::cluster::LatencyModel;
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// A validated query graph with a topological execution order.
 #[derive(Debug, Clone)]
@@ -146,11 +149,48 @@ impl QueryDag {
         }
         waves
     }
+}
 
-    /// Index of the element with `id`.
-    pub fn index_of(&self, id: &str) -> Option<usize> {
-        self.spec.elements.iter().position(|e| e.id == id)
+/// Predicted wall-clock of executing measured per-element timings on an
+/// `nodes`-node cluster under the Fig. 3 placement of
+/// [`QueryRunner::on_cluster`](super::QueryRunner::on_cluster)
+/// (wave-synchronous, element `i` on node `i % nodes`, output vectors
+/// shipped to the consuming node).
+///
+/// This turns one profiling run into the paper's scaling
+/// curve: the host running this reproduction may have a single core, but
+/// the element durations and output row counts are real measurements, and
+/// the interconnect cost comes from the same [`LatencyModel`] the live
+/// cluster simulation charges. Per wave, each node works through its
+/// assigned elements serially; a node consuming an off-node input first
+/// pays the socket cost for that input's rows; the wave ends when the
+/// slowest node finishes.
+pub fn simulated_makespan(
+    dag: &QueryDag,
+    timings: &[ElementTiming],
+    nodes: usize,
+    latency: LatencyModel,
+) -> Duration {
+    let nodes = nodes.max(1);
+    let timing_of = |i: usize| timings.iter().find(|t| t.id == dag.spec.elements[i].id);
+    let node_of = |i: usize| i % nodes;
+
+    let mut makespan = Duration::ZERO;
+    for wave in dag.waves() {
+        let mut busy = vec![Duration::ZERO; nodes];
+        for &i in &wave {
+            let n = node_of(i);
+            let mut cost = timing_of(i).map_or(Duration::ZERO, |t| t.wall);
+            for &j in &dag.input_idx[i] {
+                if node_of(j) != n {
+                    cost += latency.cost(timing_of(j).map_or(0, |t| t.rows));
+                }
+            }
+            busy[n] += cost;
+        }
+        makespan += busy.into_iter().max().unwrap_or(Duration::ZERO);
     }
+    makespan
 }
 
 #[cfg(test)]
@@ -196,6 +236,24 @@ mod tests {
         assert_eq!(waves[1].len(), 2);
         assert_eq!(waves[2].len(), 1);
         assert_eq!(waves[3].len(), 1);
+    }
+
+    #[test]
+    fn makespan_shrinks_with_nodes_and_respects_latency() {
+        let db = crate::query::exec::tests::seeded_db();
+        let spec = || query_from_str(crate::query::exec::tests::FIG7ISH).unwrap();
+        let out = crate::query::QueryRunner::new(&db).run(spec()).unwrap();
+        let dag = QueryDag::build(spec()).unwrap();
+        let m1 = simulated_makespan(&dag, &out.timings, 1, LatencyModel::none());
+        let m2 = simulated_makespan(&dag, &out.timings, 2, LatencyModel::none());
+        let total: Duration = out.timings.iter().map(|t| t.wall).sum();
+        // One node = the full serial work; two nodes strictly less (the two
+        // source/operator chains are independent).
+        assert_eq!(m1, total);
+        assert!(m2 < m1, "2-node makespan {m2:?} must beat 1-node {m1:?}");
+        // Latency makes distribution more expensive, never cheaper.
+        let m2_lan = simulated_makespan(&dag, &out.timings, 2, LatencyModel::lan());
+        assert!(m2_lan >= m2);
     }
 
     #[test]

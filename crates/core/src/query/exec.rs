@@ -1,10 +1,15 @@
-//! Sequential query execution (paper §3.3, §4.2).
+//! Query execution (paper §3.3, §4.2, §4.3).
 //!
 //! Each element materialises its output vector into its own temporary table
 //! (`pb_tmp_<query>_<element>`); only the table name (wrapped in a
 //! [`DataVector`] with column metadata) flows between elements. Operators
 //! lean on the database's aggregation (GROUP BY) wherever possible — the
 //! paper's §4.2 performance argument.
+//!
+//! [`QueryRunner`] runs the graph wave by wave ([`QueryDag::waves`]); the
+//! elements of one wave run concurrently on at most one worker per core.
+//! Results do not depend on the width: artifacts, transfer statistics and
+//! the order of [`QueryOutcome::timings`] are the same at every width.
 //!
 //! Operator mode selection is automatic (paper §3.3.2):
 //!
@@ -37,9 +42,11 @@ use crate::error::{Error, Result};
 use crate::experiment::{ExperimentDb, ExperimentDef, Occurrence};
 use crate::output;
 use sqldb::aggregate::{Accumulator, AggKind};
-use sqldb::cluster::TransferStats;
+use sqldb::cluster::{Cluster, TransferStats};
 use sqldb::{Engine, Value};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Wall-clock cost of one executed element — the measurement behind the
@@ -65,12 +72,14 @@ pub struct QueryOutcome {
     pub vectors: HashMap<String, DataVector>,
     /// Rendered artifacts by output-element id.
     pub artifacts: HashMap<String, String>,
-    /// Per-element timings in execution order.
+    /// Per-element timings, ordered by wave and, within a wave, by the
+    /// element's position in the spec — the same order at every width.
     pub timings: Vec<ElementTiming>,
     /// Simulated interconnect traffic this query caused (messages, rows
     /// moved, simulated latency) — `Some` only when executed against a
     /// cluster, as the delta of the cluster's [`TransferStats`] across the
-    /// run.
+    /// run: the [`QueryRunner::on_cluster`] cluster if one is set, else
+    /// the cluster the experiment is sharded over.
     pub transfer: Option<TransferStats>,
 }
 
@@ -91,21 +100,67 @@ impl QueryOutcome {
     }
 }
 
-/// Sequential query runner over the experiment's own database engine.
+/// The query runner: one wave scheduler for every configuration (paper
+/// §4.3). [`QueryDag::waves`] groups elements whose inputs are ready; each
+/// wave runs on `min(wave size, available cores)` scoped workers that take
+/// the next element through an atomic index. A wave of width 1 runs inline
+/// on the calling thread, so a chain, or any query on a 1-CPU host, never
+/// spawns a thread.
 ///
 /// When the experiment is sharded across a cluster, the runner pushes
 /// eligible aggregations down to the data-owning nodes (see the module
 /// docs); [`QueryRunner::pushdown`] can force the fallback path instead,
 /// which is useful for measuring what the pushdown saves.
+/// [`QueryRunner::on_cluster`] places the elements themselves on the nodes
+/// of a cluster (Fig. 3).
 pub struct QueryRunner<'a> {
     db: &'a ExperimentDb,
     pushdown: bool,
+    cluster: Option<&'a Cluster>,
+}
+
+/// Another name for [`QueryRunner`], which runs every query
+/// wave-parallel; kept for callers that still use it.
+pub type ParallelQueryRunner<'a> = QueryRunner<'a>;
+
+/// Per-run placement decisions shared by the workers of every wave.
+struct Plan<'d> {
+    dag: &'d QueryDag,
+    /// `fused[op] = Some(source)`: see [`QueryRunner::plan_pushdown`].
+    fused: Vec<Option<usize>>,
+    /// Node each element runs on.
+    exec_node: Vec<usize>,
+    /// Node each element's output vector lives on.
+    out_node: Vec<usize>,
+}
+
+/// What one element produced.
+struct Executed {
+    vector: Option<DataVector>,
+    artifact: Option<String>,
+    timing: ElementTiming,
+}
+
+/// Temp tables one run created, with the engine each lives on. They are
+/// dropped when the run ends: on success and on every error path.
+struct TempTables<'e>(Vec<(&'e Engine, String)>);
+
+impl Drop for TempTables<'_> {
+    fn drop(&mut self) {
+        for (engine, table) in &self.0 {
+            let _ = engine.drop_table(table, true);
+        }
+    }
 }
 
 impl<'a> QueryRunner<'a> {
-    /// New runner (aggregation pushdown enabled).
+    /// New runner (aggregation pushdown enabled, no element placement).
     pub fn new(db: &'a ExperimentDb) -> Self {
-        QueryRunner { db, pushdown: true }
+        QueryRunner {
+            db,
+            pushdown: true,
+            cluster: None,
+        }
     }
 
     /// Enable or disable aggregation pushdown on sharded databases. With
@@ -115,6 +170,25 @@ impl<'a> QueryRunner<'a> {
     pub fn pushdown(mut self, enabled: bool) -> Self {
         self.pushdown = enabled;
         self
+    }
+
+    /// Place the elements on the nodes of `cluster` (paper Fig. 3).
+    /// Element `i` runs on node `i % n`. Its output vector lands on the
+    /// node of its first consumer and is copied to every other consumer's
+    /// node; each move is charged to the cluster, whose traffic
+    /// [`QueryOutcome::transfer`] then reports. Sources still read the
+    /// experiment data through the experiment database.
+    pub fn on_cluster(mut self, cluster: &'a Cluster) -> Self {
+        self.cluster = Some(cluster);
+        self
+    }
+
+    /// Engine of node `n` (the experiment's own engine without placement).
+    fn engine_of(&self, n: usize) -> &'a Engine {
+        match self.cluster {
+            Some(c) => &c.node(n).engine,
+            None => self.db.engine(),
+        }
     }
 
     /// Which operator elements can fuse with their source input into a
@@ -169,8 +243,17 @@ impl<'a> QueryRunner<'a> {
         fused
     }
 
-    /// Execute `spec` and drop all temporary tables afterwards.
+    /// Execute `spec`. Every temp table the run created is dropped before
+    /// this returns, whether it succeeds or fails.
     pub fn run(&self, spec: QuerySpec) -> Result<QueryOutcome> {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        self.run_width(spec, cores)
+    }
+
+    /// [`QueryRunner::run`] with at most `width` workers per wave.
+    fn run_width(&self, spec: QuerySpec, width: usize) -> Result<QueryOutcome> {
         let dag = QueryDag::build(spec)?;
         let mut dag_span = obs::span("dag");
         dag_span.annotate(|| {
@@ -180,94 +263,67 @@ impl<'a> QueryRunner<'a> {
                 dag.spec.elements.len()
             )
         });
-        let engine = self.db.engine().clone();
-        let def = self.db.definition();
+        let n = dag.spec.elements.len();
         let sharding = self.db.sharding();
-        let stats_before = sharding.as_ref().map(|sh| sh.cluster().stats());
-        let fused = self.plan_pushdown(&dag, &def);
-        let source_fused: Vec<bool> = (0..dag.spec.elements.len())
-            .map(|i| fused.contains(&Some(i)))
+        let watched = self
+            .cluster
+            .or_else(|| sharding.as_ref().map(|sh| &**sh.cluster()));
+        let stats_before = watched.map(Cluster::stats);
+        let exec_node: Vec<usize> = (0..n)
+            .map(|i| self.cluster.map_or(0, |c| i % c.len()))
             .collect();
+        let out_node = (0..n)
+            .map(|i| {
+                dag.consumers[i]
+                    .first()
+                    .map_or(exec_node[i], |&c| exec_node[c])
+            })
+            .collect();
+        let plan = Plan {
+            dag: &dag,
+            fused: self.plan_pushdown(&dag, &self.db.definition()),
+            exec_node,
+            out_node,
+        };
+        let mut temps = TempTables(Vec::new());
+        let mut vectors: Vec<Option<DataVector>> = vec![None; n];
         let mut outcome = QueryOutcome::default();
-        let mut vectors: Vec<Option<DataVector>> = vec![None; dag.spec.elements.len()];
-        let mut from_source: Vec<bool> = vec![false; dag.spec.elements.len()];
 
-        for &i in &dag.topo_order {
-            let element = &dag.spec.elements[i];
-            obs::incr(obs::Counter::DagElements);
-            let mut el_span = obs::span("element");
-            let started = Instant::now();
-            let table = temp_table_name(&dag.spec.name, &element.id);
-            match &element.kind {
-                ElementKind::Source(s) => {
-                    from_source[i] = true;
-                    if !source_fused[i] {
-                        let v = run_source(self.db, &engine, s, &table)?;
-                        vectors[i] = Some(v);
-                    }
-                    // Fused sources execute inside their consuming
-                    // aggregation operator, on the data-owning nodes.
-                }
-                ElementKind::Operator(o) => {
-                    if let Some(si) = fused[i] {
-                        obs::incr(obs::Counter::DagPushdownFused);
-                        let ElementKind::Source(s) = &dag.spec.elements[si].kind else {
-                            unreachable!("fusion plan only names sources")
-                        };
-                        let agg = o.op.aggregate().expect("fused operators aggregate");
-                        let v = run_pushdown_aggregate(self.db, agg, s, &engine, &table)?;
-                        vectors[i] = Some(v);
-                    } else {
-                        let inputs: Vec<(&DataVector, bool)> = dag.input_idx[i]
-                            .iter()
-                            .map(|&j| (vectors[j].as_ref().expect("topo order"), from_source[j]))
-                            .collect();
-                        let v = run_operator(&engine, &engine, &o.op, &inputs, &table)?;
-                        vectors[i] = Some(v);
-                    }
-                }
-                ElementKind::Combiner(c) => {
-                    let l = vectors[dag.input_idx[i][0]].as_ref().expect("topo order");
-                    let r = vectors[dag.input_idx[i][1]].as_ref().expect("topo order");
-                    let v = run_combiner(&engine, &engine, c, l, r, &table)?;
-                    vectors[i] = Some(v);
-                }
-                ElementKind::Output(o) => {
-                    let inputs: Vec<&DataVector> = dag.input_idx[i]
-                        .iter()
-                        .map(|&j| vectors[j].as_ref().expect("topo order"))
-                        .collect();
-                    let artifact = run_output(&engine, o, &inputs)?;
-                    if let Some(path) = &o.filename {
-                        std::fs::write(path, &artifact)?;
-                    }
-                    outcome.artifacts.insert(element.id.clone(), artifact);
+        for wave in dag.waves() {
+            for &i in &wave {
+                let element = &dag.spec.elements[i];
+                if !matches!(element.kind, ElementKind::Output(_)) {
+                    let table = temp_table_name(&dag.spec.name, &element.id);
+                    temps.0.push((self.engine_of(plan.out_node[i]), table));
                 }
             }
-            let rows = vectors[i]
-                .as_ref()
-                .map(|v| engine.row_count(&v.table).unwrap_or(0))
-                .unwrap_or(0);
-            el_span.annotate(|| {
-                let decision = match &element.kind {
-                    ElementKind::Source(_) if source_fused[i] => " fused-into-consumer",
-                    ElementKind::Operator(_) if fused[i].is_some() => " pushdown=fused",
-                    _ => "",
-                };
-                format!(
-                    "id={} kind={}{} rows={rows}",
-                    element.id,
-                    element.kind.name(),
-                    decision
-                )
-            });
-            obs::record_duration(obs::Hist::ElementNs, started.elapsed());
-            outcome.timings.push(ElementTiming {
-                id: element.id.clone(),
-                kind: element.kind.name(),
-                wall: started.elapsed(),
-                rows,
-            });
+            let done = run_wave(&wave, width, |i| self.run_element(&plan, i, &vectors))?;
+            for (&i, e) in wave.iter().zip(done) {
+                vectors[i] = e.vector;
+                if let Some(a) = e.artifact {
+                    outcome.artifacts.insert(e.timing.id.clone(), a);
+                }
+                outcome.timings.push(e.timing);
+            }
+            // Copy each vector to the nodes of its other consumers.
+            let Some(cluster) = self.cluster else {
+                continue;
+            };
+            for &i in &wave {
+                let Some(v) = &vectors[i] else { continue };
+                let home = plan.out_node[i];
+                let mut extra: Vec<usize> = dag.consumers[i]
+                    .iter()
+                    .map(|&c| plan.exec_node[c])
+                    .filter(|&node| node != home)
+                    .collect();
+                extra.sort_unstable();
+                extra.dedup();
+                for node in extra {
+                    temps.0.push((&cluster.node(node).engine, v.table.clone()));
+                    cluster.copy_table(home, &v.table, node, &v.table)?;
+                }
+            }
         }
 
         for (i, v) in vectors.into_iter().enumerate() {
@@ -275,12 +331,154 @@ impl<'a> QueryRunner<'a> {
                 outcome.vectors.insert(dag.spec.elements[i].id.clone(), v);
             }
         }
-        engine.drop_temp_tables();
-        if let (Some(sh), Some(before)) = (&sharding, &stats_before) {
-            outcome.transfer = Some(sh.cluster().stats().delta_since(before));
+        if let (Some(c), Some(before)) = (watched, &stats_before) {
+            outcome.transfer = Some(c.stats().delta_since(before));
         }
         Ok(outcome)
     }
+
+    /// Execute element `i` on its node; its inputs are in `vectors`.
+    fn run_element(
+        &self,
+        plan: &Plan,
+        i: usize,
+        vectors: &[Option<DataVector>],
+    ) -> Result<Executed> {
+        let dag = plan.dag;
+        let element = &dag.spec.elements[i];
+        obs::incr(obs::Counter::DagElements);
+        let mut el_span = obs::span("element");
+        let started = Instant::now();
+        let table = temp_table_name(&dag.spec.name, &element.id);
+        let in_engine = self.engine_of(plan.exec_node[i]);
+        let out_engine = self.engine_of(plan.out_node[i]);
+        let input = |k: usize| {
+            vectors[dag.input_idx[i][k]]
+                .as_ref()
+                .expect("inputs ran in earlier waves")
+        };
+        let source_fused = plan.fused.contains(&Some(i));
+        let mut artifact = None;
+        let vector = match &element.kind {
+            // A fused source executes inside its consuming aggregation
+            // operator, on the data-owning nodes.
+            ElementKind::Source(_) if source_fused => None,
+            ElementKind::Source(s) => Some(run_source(self.db, out_engine, s, &table)?),
+            ElementKind::Operator(o) => Some(match plan.fused[i] {
+                Some(si) => {
+                    obs::incr(obs::Counter::DagPushdownFused);
+                    let ElementKind::Source(s) = &dag.spec.elements[si].kind else {
+                        unreachable!("fusion plan only names sources")
+                    };
+                    let agg = o.op.aggregate().expect("fused operators aggregate");
+                    run_pushdown_aggregate(self.db, agg, s, out_engine, &table)?
+                }
+                None => {
+                    let inputs: Vec<(&DataVector, bool)> = dag.input_idx[i]
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &j)| {
+                            let kind = &dag.spec.elements[j].kind;
+                            (input(k), matches!(kind, ElementKind::Source(_)))
+                        })
+                        .collect();
+                    run_operator(in_engine, out_engine, &o.op, &inputs, &table)?
+                }
+            }),
+            ElementKind::Combiner(c) => Some(run_combiner(
+                in_engine,
+                out_engine,
+                c,
+                input(0),
+                input(1),
+                &table,
+            )?),
+            ElementKind::Output(o) => {
+                let inputs: Vec<&DataVector> = (0..dag.input_idx[i].len()).map(input).collect();
+                let text = run_output(in_engine, o, &inputs)?;
+                if let Some(path) = &o.filename {
+                    std::fs::write(path, &text)?;
+                }
+                artifact = Some(text);
+                None
+            }
+        };
+        let rows = vector
+            .as_ref()
+            .map_or(0, |v| out_engine.row_count(&v.table).unwrap_or(0));
+        if let Some(c) = self.cluster {
+            if vector.is_some() && plan.exec_node[i] != plan.out_node[i] {
+                // Fig. 3: the vector was written to its consumer's node.
+                c.charge_transfer(rows);
+            }
+        }
+        el_span.annotate(|| {
+            let decision = match &element.kind {
+                ElementKind::Source(_) if source_fused => " fused-into-consumer",
+                ElementKind::Operator(_) if plan.fused[i].is_some() => " pushdown=fused",
+                _ => "",
+            };
+            format!(
+                "id={} kind={}{} rows={rows}",
+                element.id,
+                element.kind.name(),
+                decision
+            )
+        });
+        obs::record_duration(obs::Hist::ElementNs, started.elapsed());
+        Ok(Executed {
+            vector,
+            artifact,
+            timing: ElementTiming {
+                id: element.id.clone(),
+                kind: element.kind.name(),
+                wall: started.elapsed(),
+                rows,
+            },
+        })
+    }
+}
+
+/// Run `f` on every element of `wave` with `min(wave.len(), width)`
+/// workers, each taking the next element through an atomic index. Results
+/// come back in wave order, and the first error in wave order wins. A
+/// single worker runs inline on the calling thread; spawned workers open
+/// their spans under the caller's current span.
+fn run_wave<T: Send>(
+    wave: &[usize],
+    width: usize,
+    f: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let workers = width.min(wave.len());
+    if workers <= 1 {
+        return wave.iter().map(|&i| f(i)).collect();
+    }
+    // The index publishes no data (results come back through `join`), so
+    // `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let parent = obs::current_span();
+    let joined = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let _parent = obs::enter(parent);
+                    let mut done = Vec::new();
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&i) = wave.get(k) else { break done };
+                        done.push((k, f(i)));
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+    });
+    let mut results = Vec::with_capacity(wave.len());
+    for done in joined {
+        results.extend(done.map_err(|_| Error::Query("query worker thread panicked".into()))?);
+    }
+    results.sort_by_key(|&(k, _)| k);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Temp-table name for one element of one query.
@@ -587,9 +785,9 @@ fn run_pushdown_aggregate(
     debug_assert!(plan.once_values.is_empty() && !plan.multi_values.is_empty());
 
     // 1. Matching runs from the frontend's run index.
-    let (run_cols, sql) = plan.runs_query();
+    // Columns: run_id + once_carry (no once values by eligibility).
+    let (_, sql) = plan.runs_query();
     let runs = db.engine().query(&sql)?;
-    let _ = run_cols; // run_id + once_carry (no once values by eligibility)
 
     let params: Vec<String> = plan
         .once_carry
@@ -779,11 +977,8 @@ fn run_operator_single(
     table: &str,
 ) -> Result<DataVector> {
     if let Some(agg) = op.aggregate() {
-        return if from_source && !v.params.is_empty() {
-            aggregate_datasets(in_engine, out_engine, agg, v, table)
-        } else {
-            reduce_all(in_engine, out_engine, agg, v, table)
-        };
+        let grouped = from_source && !v.params.is_empty();
+        return aggregate_vector(in_engine, out_engine, agg, v, grouped, table);
     }
     // Row-wise transforms keep the vector shape.
     let (cols, rows) = read_vector(in_engine, v)?;
@@ -855,67 +1050,43 @@ fn run_operator_single(
     })
 }
 
-/// Data-set aggregation via the database (GROUP BY all parameters) — the
-/// in-database operator path the paper's §4.2 advocates.
-fn aggregate_datasets(
+/// Aggregate `v` in the database: per data set (GROUP BY all parameters,
+/// mode 1 of §3.3.2 — the in-database operator path the paper's §4.2
+/// advocates) when `grouped`, else the whole vector into one element
+/// (mode 2).
+fn aggregate_vector(
     in_engine: &Engine,
     out_engine: &Engine,
     agg: AggKind,
     v: &DataVector,
+    grouped: bool,
     table: &str,
 ) -> Result<DataVector> {
-    let aggs: Vec<String> = v
-        .values
-        .iter()
-        .map(|c| format!("{}({c}) AS {c}", agg.name()))
-        .collect();
-    let sql = format!(
-        "SELECT {}, {} FROM {} GROUP BY {}",
-        v.params.join(", "),
-        aggs.join(", "),
-        v.table,
-        v.params.join(", "),
+    let params: &[String] = if grouped { &v.params } else { &[] };
+    let mut sel = params.to_vec();
+    sel.extend(
+        v.values
+            .iter()
+            .map(|c| format!("{}({c}) AS {c}", agg.name())),
     );
-    let rs = in_engine.query(&sql)?;
-    let cols: Vec<String> = rs.column_names().to_vec();
-    materialize(out_engine, table, &cols, rs.into_rows())?;
-    let mut labels = v.labels.clone();
-    for c in &v.values {
-        let base = v.label(c);
-        labels.insert(c.clone(), format!("{}({base})", agg.name()));
+    let mut sql = format!("SELECT {} FROM {}", sel.join(", "), v.table);
+    if grouped {
+        sql.push_str(&format!(" GROUP BY {}", params.join(", ")));
     }
-    Ok(DataVector {
-        table: table.to_string(),
-        params: v.params.clone(),
-        values: v.values.clone(),
-        labels,
-    })
-}
-
-/// Reduce the whole vector to one element (mode 2 of §3.3.2).
-fn reduce_all(
-    in_engine: &Engine,
-    out_engine: &Engine,
-    agg: AggKind,
-    v: &DataVector,
-    table: &str,
-) -> Result<DataVector> {
-    let aggs: Vec<String> = v
-        .values
-        .iter()
-        .map(|c| format!("{}({c}) AS {c}", agg.name()))
-        .collect();
-    let sql = format!("SELECT {} FROM {}", aggs.join(", "), v.table);
     let rs = in_engine.query(&sql)?;
     let cols: Vec<String> = rs.column_names().to_vec();
     materialize(out_engine, table, &cols, rs.into_rows())?;
-    let mut labels = HashMap::new();
+    let mut labels = if grouped {
+        v.labels.clone()
+    } else {
+        HashMap::new()
+    };
     for c in &v.values {
         labels.insert(c.clone(), format!("{}({})", agg.name(), v.label(c)));
     }
     Ok(DataVector {
         table: table.to_string(),
-        params: Vec::new(),
+        params: params.to_vec(),
         values: v.values.clone(),
         labels,
     })
@@ -1341,6 +1512,9 @@ pub(crate) fn run_output(
 }
 
 #[cfg(test)]
+mod wave_tests;
+
+#[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::experiment::{ExperimentDef, Meta, VarKind, Variable};
@@ -1456,29 +1630,59 @@ pub(crate) mod tests {
         assert!(csv.lines().nth(1).unwrap().starts_with("5")); // 400/100+1
     }
 
+    /// Fig. 7 shape: two source → max chains joined by `above`.
+    pub(crate) const FIG7ISH: &str = r#"<query name="q">
+      <source id="s_old">
+        <parameter name="technique" value="old"/>
+        <parameter name="chunk" carry="true"/>
+        <value name="bw"/>
+      </source>
+      <source id="s_new">
+        <parameter name="technique" value="new"/>
+        <parameter name="chunk" carry="true"/>
+        <value name="bw"/>
+      </source>
+      <operator id="max_old" type="max" input="s_old"/>
+      <operator id="max_new" type="max" input="s_new"/>
+      <operator id="rel" type="above" input="max_new,max_old"/>
+      <output id="o" input="rel" format="csv"/>
+    </query>"#;
+
+    /// A chain: every wave holds one element.
+    pub(crate) const CHAIN: &str = r#"<query name="q"><source id="s">
+         <parameter name="technique" value="old"/>
+         <parameter name="chunk" carry="true"/>
+         <value name="bw"/>
+       </source>
+       <operator id="a" type="avg" input="s"/>
+       <operator id="x" type="scale" input="a" arg="2"/>
+       <operator id="y" type="offset" input="x" arg="-1"/>
+       <output id="o" input="y" format="csv"/></query>"#;
+
+    /// Two averaged sources merged by a combiner.
+    pub(crate) const COMBINER: &str = r#"<query name="q">
+      <source id="s_old">
+        <parameter name="technique" value="old"/>
+        <parameter name="chunk" carry="true"/>
+        <value name="bw"/>
+      </source>
+      <source id="s_new">
+        <parameter name="technique" value="new"/>
+        <parameter name="chunk" carry="true"/>
+        <value name="bw"/>
+      </source>
+      <operator id="m1" type="avg" input="s_old"/>
+      <operator id="m2" type="avg" input="s_new"/>
+      <combiner id="c" input="m1,m2" suffixes="_old,_new"/>
+      <output id="o" input="c" format="csv"/>
+    </query>"#;
+
     #[test]
     fn fig7_pipeline_relative_difference() {
         let db = seeded_db();
-        let q = query_from_str(
-            r#"<query name="q">
-              <source id="s_old">
-                <parameter name="technique" value="old"/>
-                <parameter name="chunk" carry="true"/>
-                <value name="bw"/>
-              </source>
-              <source id="s_new">
-                <parameter name="technique" value="new"/>
-                <parameter name="chunk" carry="true"/>
-                <value name="bw"/>
-              </source>
-              <operator id="max_old" type="max" input="s_old"/>
-              <operator id="max_new" type="max" input="s_new"/>
-              <operator id="rel" type="above" input="max_new,max_old"/>
-              <output id="o" input="rel" format="csv"/>
-            </query>"#,
-        )
-        .unwrap();
-        let out = QueryRunner::new(&db).run(q).unwrap();
+        let out = QueryRunner::new(&db)
+            .run(query_from_str(FIG7ISH).unwrap())
+            .unwrap();
         let v = &out.vectors["rel"];
         assert_eq!(v.params, vec!["chunk"]);
         let (cols, rows) = {
@@ -1529,19 +1733,9 @@ pub(crate) mod tests {
     #[test]
     fn scale_and_offset() {
         let db = seeded_db();
-        let q = query_from_str(
-            r#"<query name="q"><source id="s">
-                 <parameter name="technique" value="old"/>
-                 <parameter name="chunk" carry="true"/>
-                 <value name="bw"/>
-               </source>
-               <operator id="a" type="avg" input="s"/>
-               <operator id="x" type="scale" input="a" arg="2"/>
-               <operator id="y" type="offset" input="x" arg="-1"/>
-               <output id="o" input="y" format="csv"/></query>"#,
-        )
-        .unwrap();
-        let out = QueryRunner::new(&db).run(q).unwrap();
+        let out = QueryRunner::new(&db)
+            .run(query_from_str(CHAIN).unwrap())
+            .unwrap();
         let csv = &out.artifacts["o"];
         // chunk 100: avg 1.5 → ×2 = 3 → -1 = 2
         let line = csv.lines().find(|l| l.starts_with("100,")).unwrap();
@@ -1552,26 +1746,9 @@ pub(crate) mod tests {
     #[test]
     fn combiner_merges_vectors() {
         let db = seeded_db();
-        let q = query_from_str(
-            r#"<query name="q">
-              <source id="s_old">
-                <parameter name="technique" value="old"/>
-                <parameter name="chunk" carry="true"/>
-                <value name="bw"/>
-              </source>
-              <source id="s_new">
-                <parameter name="technique" value="new"/>
-                <parameter name="chunk" carry="true"/>
-                <value name="bw"/>
-              </source>
-              <operator id="m1" type="avg" input="s_old"/>
-              <operator id="m2" type="avg" input="s_new"/>
-              <combiner id="c" input="m1,m2" suffixes="_old,_new"/>
-              <output id="o" input="c" format="csv"/>
-            </query>"#,
-        )
-        .unwrap();
-        let out = QueryRunner::new(&db).run(q).unwrap();
+        let out = QueryRunner::new(&db)
+            .run(query_from_str(COMBINER).unwrap())
+            .unwrap();
         let v = &out.vectors["c"];
         assert_eq!(v.params, vec!["chunk"]);
         assert_eq!(v.values, vec!["bw_old", "bw_new"]);
@@ -1797,7 +1974,7 @@ pub(crate) mod tests {
 
     /// The seeded experiment, attached to an `n`-node latency-free cluster
     /// so its run data is spread across the simulated nodes.
-    fn sharded_db(nodes: usize) -> ExperimentDb {
+    pub(crate) fn sharded_db(nodes: usize) -> ExperimentDb {
         let db = seeded_db();
         let cluster = Arc::new(sqldb::cluster::Cluster::with_frontend(
             db.engine().clone(),

@@ -12,19 +12,24 @@
 //!
 //! Elements communicate **through temporary database tables** (paper §4.2):
 //! each element materialises its output vector into its own temp table and
-//! passes only the table name downstream. [`exec`] runs the graph
-//! sequentially; [`parallel`] distributes ready elements across threads and
-//! (optionally) across the nodes of a simulated database cluster (Fig. 3).
+//! passes only the table name downstream.
+//!
+//! [`QueryRunner`] is the one runner. It executes the graph in *waves*
+//! ([`QueryDag::waves`]): the elements of a wave are independent and run
+//! on as many scoped workers as the host has cores (§4.3), and serial
+//! execution is simply a wave of width 1. The same path pushes
+//! aggregations down to the nodes of a sharded experiment and, with
+//! [`QueryRunner::on_cluster`], places the elements on the nodes of a
+//! simulated database cluster (Fig. 3). [`dag::simulated_makespan`]
+//! predicts that placement's wall-clock from one profiled run.
 #![warn(missing_docs)]
 
 pub mod dag;
 pub mod exec;
-pub mod parallel;
 pub mod spec;
 
-pub use dag::QueryDag;
-pub use exec::{ElementTiming, QueryOutcome, QueryRunner};
-pub use parallel::{ParallelQueryRunner, Placement};
+pub use dag::{simulated_makespan, QueryDag};
+pub use exec::{ElementTiming, ParallelQueryRunner, QueryOutcome, QueryRunner};
 pub use spec::{
     CombinerSpec, ElementKind, ElementSpec, Filter, FilterOp, OpKind, OperatorSpec, OutputFormat,
     OutputSpec, PlotStyle, QuerySpec, RunFilter, SourceSpec,

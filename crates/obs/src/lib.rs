@@ -37,7 +37,10 @@ pub use class::{
 pub use counter::{add, counters_snapshot, get, incr, set, Counter};
 pub use hist::{hist_snapshot, record, record_duration, Hist, HistSnapshot, BUCKETS};
 pub use report::{fmt_ns, render_stats};
-pub use span::{set_sink, sink_attached, span, Sink, Span, SpanRecord, TraceCollector};
+pub use span::{
+    current_span, enter, set_sink, sink_attached, span, Entered, Sink, Span, SpanRecord,
+    TraceCollector,
+};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -43,12 +43,37 @@ pub fn sink_attached() -> bool {
     SINK_ATTACHED.load(Ordering::Acquire)
 }
 
+/// Id of the innermost span open on this thread (`None` when there is
+/// none, or no sink is attached).
+pub fn current_span() -> Option<u64> {
+    CURRENT_PARENT.with(Cell::get)
+}
+
+/// Open spans on this thread under `parent` until the guard drops. Span
+/// parents are tracked per thread, so a worker running part of a traced
+/// operation calls this with the [`current_span`] of the thread that
+/// handed it the work.
+#[must_use = "the parent applies only while the guard is alive"]
+pub fn enter(parent: Option<u64>) -> Entered {
+    Entered(CURRENT_PARENT.with(|p| p.replace(parent)))
+}
+
+/// Guard returned by [`enter`]; restores the thread's previous parent.
+pub struct Entered(Option<u64>);
+
+impl Drop for Entered {
+    fn drop(&mut self) {
+        CURRENT_PARENT.with(|p| p.set(self.0));
+    }
+}
+
 /// A finished span as delivered to the [`Sink`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Unique id (creation-ordered across threads).
     pub id: u64,
-    /// Enclosing span on the same thread, if any.
+    /// Enclosing span: on the same thread, or the one handed over with
+    /// [`enter`].
     pub parent: Option<u64>,
     /// Static site name (`statement`, `element`, `shipment`, …).
     pub name: &'static str,
@@ -263,6 +288,29 @@ mod tests {
             inner_line.starts_with("  "),
             "inner must be indented: {tree}"
         );
+    }
+
+    #[test]
+    fn entered_parent_crosses_threads() {
+        let _g = crate::test_guard();
+        let collector = TraceCollector::new();
+        set_sink(Some(collector.clone()));
+        {
+            let _outer = span("outer");
+            let parent = current_span();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _p = enter(parent);
+                    drop(span("worker"));
+                });
+            });
+        }
+        set_sink(None);
+        let records = collector.records();
+        let outer = records.iter().find(|r| r.name == "outer").unwrap();
+        let worker = records.iter().find(|r| r.name == "worker").unwrap();
+        assert_eq!(worker.parent, Some(outer.id));
+        assert_eq!(current_span(), None);
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //!   database, rewrite the SQL dump atomically and compact the log
 //! * `query --db file --spec query.xml [--user U] [--parallel] [--nodes N]
 //!   [--replicas R] [--latency none|lan|fast] [--no-pushdown] [--timings]`
-//!   — without `--parallel`, `--nodes N` shards the run data across an
-//!   N-node simulated cluster and pushes aggregations to the data
+//!   — runs the query DAG wave by wave, the elements of a wave in
+//!   parallel on the host's cores; `--nodes N` shards the run data across
+//!   an N-node simulated cluster and pushes aggregations to the data
 //!   (transfer statistics are printed after the outputs); `--replicas R`
 //!   additionally keeps R replica copies of each shard, serves reads from
-//!   fresh replicas round-robin, and prints a `== replication ==` report
+//!   fresh replicas round-robin, and prints a `== replication ==` report;
+//!   `--parallel --nodes N` instead places the DAG elements on the N nodes
+//!   (Fig. 3) and leaves the data on the frontend — without `--nodes`,
+//!   `--parallel` has no effect
 //! * `info --db file` / `ls --db file [--param name=value] [--since/--until]`
 //! * `missing --db file param…` — sweep-hole detection
 //! * `delete --db file --run N --user U`
@@ -63,7 +67,7 @@ use perfbase_core::experiment::{AccessLevel, ExperimentDb};
 use perfbase_core::import::{Importer, MissingPolicy};
 use perfbase_core::input::input_description_from_str;
 use perfbase_core::query::spec::query_from_str;
-use perfbase_core::query::{ParallelQueryRunner, Placement, QueryRunner};
+use perfbase_core::query::QueryRunner;
 use perfbase_core::status::{self, RunCriteria};
 use perfbase_core::xmldef;
 use sqldb::cluster::{Cluster, LatencyModel};
@@ -577,20 +581,15 @@ fn run_query_outcome(
     spec: perfbase_core::query::spec::QuerySpec,
     nodes: Option<usize>,
 ) -> Result<(perfbase_core::query::QueryOutcome, Option<String>), String> {
-    if a.flag("parallel") {
-        // Element-level parallelism: DAG elements round-robin over worker
+    if let (true, Some(n)) = (a.flag("parallel"), nodes) {
+        // Fig. 3 element placement: DAG elements round-robin over the
         // nodes, the experiment data stays on the frontend.
-        let outcome = match nodes {
-            Some(n) => {
-                let latency = latency_model(a, LatencyModel::fast_interconnect())?;
-                let cluster = Cluster::new(n, latency);
-                ParallelQueryRunner::new(db)
-                    .on_cluster(&cluster, Placement::RoundRobin)
-                    .run(spec)
-                    .map_err(err)?
-            }
-            None => ParallelQueryRunner::new(db).run(spec).map_err(err)?,
-        };
+        let latency = latency_model(a, LatencyModel::fast_interconnect())?;
+        let cluster = Cluster::new(n, latency);
+        let outcome = QueryRunner::new(db)
+            .on_cluster(&cluster)
+            .run(spec)
+            .map_err(err)?;
         Ok((outcome, None))
     } else if let Some(n) = nodes {
         // Data-level distribution: shard the run data across the cluster

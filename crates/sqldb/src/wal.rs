@@ -638,10 +638,15 @@ impl Wal {
     /// sync policy once for the whole group — the group-commit
     /// amortization a transaction commit relies on (one fsync for the
     /// group instead of one per statement under [`SyncPolicy::Always`]).
-    /// Returns the sequence number of the first frame. On error the group
-    /// may be partially in the log; callers frame groups with the
-    /// transaction markers so recovery discards such a partial tail.
+    /// Returns the sequence number of the first frame. Every statement is
+    /// size-checked before the first frame is written, so an oversized
+    /// statement fails the group with nothing in the log. On an I/O error
+    /// the group may be partially in the log; callers frame groups with
+    /// the transaction markers so recovery discards such a partial tail.
     pub fn append_batch(&mut self, stmts: &[String]) -> Result<u64, DbError> {
+        for stmt in stmts {
+            check_payload_len(stmt)?;
+        }
         let first = self.next_seq;
         for stmt in stmts {
             let t_append = Instant::now();
@@ -658,13 +663,8 @@ impl Wal {
     fn append_frame(&mut self, stmt: &str) -> Result<(u64, u64), DbError> {
         let fp = self.opts.failpoint.clone();
         fp.check_alive()?;
+        check_payload_len(stmt)?;
         let payload = stmt.as_bytes();
-        if payload.len() as u64 > MAX_PAYLOAD as u64 {
-            return Err(DbError::Io(format!(
-                "statement of {} bytes exceeds WAL frame limit",
-                payload.len()
-            )));
-        }
         let seq = self.next_seq;
         let crc = frame_crc(seq, payload);
         // Encode the frame into the reused scratch buffer — no per-append
@@ -847,6 +847,17 @@ fn read_frame(bytes: &[u8], pos: usize, expect_seq: u64) -> Option<(String, usiz
     }
     let text = String::from_utf8(payload.to_vec()).ok()?;
     Some((text, end))
+}
+
+/// Reject a statement too large for one frame.
+fn check_payload_len(stmt: &str) -> Result<(), DbError> {
+    if stmt.len() as u64 > MAX_PAYLOAD as u64 {
+        return Err(DbError::Io(format!(
+            "statement of {} bytes exceeds WAL frame limit",
+            stmt.len()
+        )));
+    }
+    Ok(())
 }
 
 fn write_header(file: &mut File, path: &Path, start_seq: u64) -> Result<(), DbError> {

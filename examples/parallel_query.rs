@@ -1,7 +1,8 @@
-//! Query parallelisation (paper §4.3, Fig. 3): run the same query
-//! sequentially, thread-parallel, and distributed over a simulated
-//! database cluster, and report timings, the source-element time fraction,
-//! and the simulated socket traffic.
+//! Query parallelisation (paper §4.3, Fig. 3): run the same query on
+//! this host (its DAG waves spread over the host's cores) and with its
+//! elements placed on the nodes of a simulated database cluster, and
+//! report timings, the source-element time fraction, and the simulated
+//! socket traffic.
 //!
 //! Run with: `cargo run --release --example parallel_query`
 
@@ -9,7 +10,7 @@ use perfbase::core::experiment::ExperimentDb;
 use perfbase::core::import::Importer;
 use perfbase::core::input::input_description_from_str;
 use perfbase::core::query::spec::query_from_str;
-use perfbase::core::query::{ParallelQueryRunner, Placement, QueryRunner};
+use perfbase::core::query::{simulated_makespan, QueryRunner};
 use perfbase::core::xmldef;
 use perfbase::sqldb::cluster::{Cluster, LatencyModel};
 use perfbase::sqldb::Engine;
@@ -78,15 +79,15 @@ fn main() {
 
     let spec = sweep_query();
 
-    // --- sequential ----------------------------------------------------------
+    // --- on this host --------------------------------------------------------
     let t = Instant::now();
-    let seq = QueryRunner::new(&db)
+    let local = QueryRunner::new(&db)
         .run(query_from_str(&spec).unwrap())
         .unwrap();
-    let t_seq = t.elapsed();
+    let t_local = t.elapsed();
     println!(
-        "sequential:      {t_seq:>10.3?}  (source fraction {:.1}%)",
-        seq.source_time_fraction() * 100.0
+        "this host:       {t_local:>10.3?}  (source fraction {:.1}%)",
+        local.source_time_fraction() * 100.0
     );
 
     // --- predicted scaling from the profiled run -------------------------------
@@ -99,11 +100,11 @@ fn main() {
         .unwrap_or(1);
     println!("(this host has {cores} core(s); predicted cluster scaling from profile:)");
     let dag = perfbase::core::query::QueryDag::build(query_from_str(&spec).unwrap()).unwrap();
-    let serial: std::time::Duration = seq.timings.iter().map(|t| t.wall).sum();
+    let serial: std::time::Duration = local.timings.iter().map(|t| t.wall).sum();
     for nodes in [2usize, 4, 8] {
-        let makespan = perfbase::core::query::parallel::simulated_makespan(
+        let makespan = simulated_makespan(
             &dag,
-            &seq.timings,
+            &local.timings,
             nodes,
             LatencyModel::fast_interconnect(),
         );
@@ -113,21 +114,12 @@ fn main() {
         );
     }
 
-    // --- thread-parallel ------------------------------------------------------
-    let t = Instant::now();
-    let par = ParallelQueryRunner::new(&db)
-        .run(query_from_str(&spec).unwrap())
-        .unwrap();
-    let t_par = t.elapsed();
-    println!("thread-parallel: {t_par:>10.3?}");
-    assert_eq!(seq.artifacts["o"], par.artifacts["o"], "results must agree");
-
     // --- distributed over a simulated cluster ---------------------------------
     for nodes in [2usize, 4, 8] {
         let cluster = Cluster::new(nodes, LatencyModel::fast_interconnect());
         let t = Instant::now();
-        let dist = ParallelQueryRunner::new(&db)
-            .on_cluster(&cluster, Placement::RoundRobin)
+        let dist = QueryRunner::new(&db)
+            .on_cluster(&cluster)
             .run(query_from_str(&spec).unwrap())
             .unwrap();
         let elapsed = t.elapsed();
@@ -137,10 +129,13 @@ fn main() {
             stats.messages, stats.rows, stats.simulated
         );
         assert_eq!(
-            seq.artifacts["o"], dist.artifacts["o"],
+            local.artifacts["o"], dist.artifacts["o"],
             "results must agree"
         );
     }
 
-    println!("\nbest observed bandwidth series:\n{}", seq.artifacts["o"]);
+    println!(
+        "\nbest observed bandwidth series:\n{}",
+        local.artifacts["o"]
+    );
 }

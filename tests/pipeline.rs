@@ -6,9 +6,10 @@ use perfbase::core::experiment::{AccessLevel, ExperimentDb};
 use perfbase::core::import::{Importer, MissingPolicy};
 use perfbase::core::input::input_description_from_str;
 use perfbase::core::query::spec::query_from_str;
-use perfbase::core::query::{ParallelQueryRunner, QueryRunner};
+use perfbase::core::query::QueryRunner;
 use perfbase::core::status;
 use perfbase::core::xmldef;
+use perfbase::sqldb::cluster::{Cluster, LatencyModel};
 use perfbase::sqldb::{Engine, Value};
 use perfbase::workloads::beffio::{simulate, BeffIoConfig, FsType, Technique};
 use std::collections::HashMap;
@@ -192,13 +193,16 @@ fn parallel_and_sequential_agree_end_to_end() {
       <operator id="rel" type="above" input="max_new,max_old"/>
       <output id="o" input="rel" format="csv"/>
     </query>"#;
-    let seq = QueryRunner::new(&db)
+    let local = QueryRunner::new(&db)
         .run(query_from_str(q).unwrap())
         .unwrap();
-    let par = ParallelQueryRunner::new(&db)
+    // The same waves with the elements placed on four cluster nodes.
+    let cluster = Cluster::new(4, LatencyModel::none());
+    let placed = QueryRunner::new(&db)
+        .on_cluster(&cluster)
         .run(query_from_str(q).unwrap())
         .unwrap();
-    assert_eq!(seq.artifacts["o"], par.artifacts["o"]);
+    assert_eq!(local.artifacts["o"], placed.artifacts["o"]);
 }
 
 #[test]

@@ -5,7 +5,8 @@
 # suites), a replicated CLI query diffed against the unsharded run, a
 # warning-free documentation build, an HTTP server round trip
 # (`perfbase serve` answering ingest and query over a real socket, diffed
-# against the CLI), and the sqldb microbenchmarks plus the 256-connection
+# against the CLI), the benchmark package's build and analyze_campaign
+# correctness gates, and the sqldb microbenchmarks plus the 256-connection
 # server stress harness (both write into BENCH_sqldb.json at the repo
 # root, gated by bench_guard).
 # Must pass with no network access beyond loopback and no external crates.
@@ -152,6 +153,17 @@ printf 'step\telapsed\n101\t4.5\n' > "$SMOKE_DIR/txn2.tsv"
 
 "$PBHTTP" POST "http://$ADDR/shutdown" >/dev/null
 wait "$SERVE_PID" || { echo "server exited non-zero"; cat "$SMOKE_DIR/serve.log"; exit 1; }
+
+echo "== benchmark build + analyze_campaign correctness gates =="
+# perfbench is its own Cargo package (outside the workspace): building it
+# catches public-API changes that break the benchmark. Its analyze_campaign
+# gates compare the parallel sweep with the serial one and sharded Fig. 7
+# with serial Fig. 7, byte for byte.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload analyze_campaign --seed 1 --seconds 5 --trace 0 > "$SMOKE_DIR/bench.out"
+tail -n 1 "$SMOKE_DIR/bench.out" | grep -q '"correct": true' \
+    || { echo "analyze_campaign gates failed"; tail -n 3 "$SMOKE_DIR/bench.out"; exit 1; }
 
 echo "== docs (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
