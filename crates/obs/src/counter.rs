@@ -110,6 +110,9 @@ counters! {
     /// Requests answered 503: admission queue full, queue wait timed out,
     /// the session table was full, or the connection limit was exceeded.
     HttpRejectedOverload => "http.rejected_503",
+    /// Jobs that panicked on an admission-pool worker (answered 500; the
+    /// worker survives).
+    HttpWorkerPanics => "http.worker_panics",
     /// Open client connections (gauge).
     HttpActiveConns => "http.active_conns",
     /// Statements waiting in the admission queue (gauge).

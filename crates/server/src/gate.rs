@@ -11,11 +11,18 @@
 //! a flood of analytical reads cannot starve writers (and vice versa) —
 //! the stress harness asserts exactly this.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` only.
+//! A job that panics does not take its worker down: the worker catches
+//! the unwind, counts it in `http.worker_panics` and moves on, and the
+//! submitter sees its reply channel close (and answers **500**).
+//!
+//! Built on `std::sync::Condvar` and the engine's poison-recovering
+//! [`Mutex`].
 
+use sqldb::sync::Mutex;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 
 /// A unit of work: computes a response and delivers it through whatever
@@ -79,7 +86,7 @@ impl GatePool {
             return Err(Refused::ShuttingDown);
         }
         {
-            let mut jobs = self.queue.jobs.lock().unwrap();
+            let mut jobs = self.queue.jobs.lock();
             if jobs.len() >= self.queue.capacity {
                 return Err(Refused::QueueFull);
             }
@@ -92,7 +99,7 @@ impl GatePool {
 
     /// Current queue depth (for `/stats`).
     pub fn depth(&self) -> usize {
-        self.queue.jobs.lock().unwrap().len()
+        self.queue.jobs.lock().len()
     }
 
     /// Stop accepting jobs, drain the queue, and join every worker.
@@ -100,7 +107,7 @@ impl GatePool {
     pub fn shutdown(&self) {
         self.queue.shutdown.store(true, Ordering::Release);
         self.queue.ready.notify_all();
-        let workers: Vec<JoinHandle<()>> = self.workers.lock().unwrap().drain(..).collect();
+        let workers: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
         for w in workers {
             let _ = w.join();
         }
@@ -110,7 +117,7 @@ impl GatePool {
 fn worker_loop(queue: &Queue) {
     loop {
         let job = {
-            let mut jobs = queue.jobs.lock().unwrap();
+            let mut jobs = queue.jobs.lock();
             loop {
                 if let Some(job) = jobs.pop_front() {
                     obs::set(obs::Counter::HttpQueueDepth, jobs.len() as u64);
@@ -119,11 +126,18 @@ fn worker_loop(queue: &Queue) {
                 if queue.shutdown.load(Ordering::Acquire) {
                     break None;
                 }
-                jobs = queue.ready.wait(jobs).unwrap();
+                jobs = queue
+                    .ready
+                    .wait(jobs)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         match job {
-            Some(job) => job(),
+            Some(job) => {
+                if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                    obs::incr(obs::Counter::HttpWorkerPanics);
+                }
+            }
             None => return,
         }
     }
@@ -168,6 +182,22 @@ mod tests {
         assert_eq!(pool.depth(), 2);
         block_tx.send(()).unwrap();
         pool.shutdown();
+    }
+
+    #[test]
+    fn panicking_jobs_leave_the_workers_alive() {
+        let pool = GatePool::new(2, 8);
+        for _ in 0..3 {
+            pool.submit(Box::new(|| panic!("job failed"))).unwrap();
+        }
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        pool.submit(Box::new(move || done_tx.send(()).unwrap()))
+            .unwrap();
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a surviving worker runs the fourth job");
+        pool.shutdown(); // joins the workers: every panic is counted
+        assert!(obs::get(obs::Counter::HttpWorkerPanics) >= 3);
     }
 
     #[test]

@@ -257,6 +257,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            500 => "Internal Server Error",
             503 => "Service Unavailable",
             _ => "Unknown",
         }

@@ -328,10 +328,11 @@ fn pooled(
     match submitted {
         Ok(()) => {
             // Accepted jobs always run (the pool drains on shutdown), so
-            // this recv only fails if the worker panicked.
+            // this recv only fails if the job panicked. That is a server
+            // fault, not overload: 500, which clients do not retry.
             let r = rx
                 .recv()
-                .unwrap_or_else(|_| Response::text(503, "worker failed\n"));
+                .unwrap_or_else(|_| Response::text(500, "worker failed\n"));
             obs::record_duration(hist, started.elapsed());
             r
         }

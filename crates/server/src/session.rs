@@ -16,10 +16,11 @@
 //! `--session-ttl` the server additionally sweeps sessions idle longer
 //! than the TTL (same rollback guarantee).
 
+use sqldb::sync::Mutex;
 use sqldb::{Snapshot, Transaction};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One analyst session: the pinned read snapshot, the open transaction
@@ -48,17 +49,17 @@ impl Session {
     /// open. Holding the guard serialises this session's requests against
     /// each other (a transaction is single-writer by construction).
     pub fn txn(&self) -> MutexGuard<'_, Option<Transaction>> {
-        self.txn.lock().unwrap()
+        self.txn.lock()
     }
 
     /// Reset the idle clock (every request carrying the session does).
     pub fn touch(&self) {
-        *self.last_used.lock().unwrap() = Instant::now();
+        *self.last_used.lock() = Instant::now();
     }
 
     /// Time since the last request touched this session.
     pub fn idle_for(&self) -> Duration {
-        self.last_used.lock().unwrap().elapsed()
+        self.last_used.lock().elapsed()
     }
 }
 
@@ -89,7 +90,7 @@ impl SessionTable {
 
     /// Register a pinned snapshot; `None` when the table is full (503).
     pub fn open(&self, snapshot: Snapshot) -> Option<u64> {
-        let mut s = self.sessions.lock().unwrap();
+        let mut s = self.sessions.lock();
         if s.len() >= self.capacity {
             return None;
         }
@@ -101,7 +102,7 @@ impl SessionTable {
 
     /// The session, if it exists; touches its idle clock.
     pub fn session(&self, id: u64) -> Option<Arc<Session>> {
-        let sess = self.sessions.lock().unwrap().get(&id).cloned();
+        let sess = self.sessions.lock().get(&id).cloned();
         if let Some(s) = &sess {
             s.touch();
         }
@@ -116,7 +117,7 @@ impl SessionTable {
     /// Release a session; reports whether it existed. An open transaction
     /// rolls back when the last reference to the session drops.
     pub fn close(&self, id: u64) -> bool {
-        let mut s = self.sessions.lock().unwrap();
+        let mut s = self.sessions.lock();
         let existed = s.remove(&id).is_some();
         obs::set(obs::Counter::HttpSessions, s.len() as u64);
         existed
@@ -127,7 +128,7 @@ impl SessionTable {
     /// session drop), so an abandoned client never holds a half-built
     /// transaction or a pinned snapshot forever.
     pub fn sweep_expired(&self, ttl: Duration) -> usize {
-        let mut s = self.sessions.lock().unwrap();
+        let mut s = self.sessions.lock();
         let before = s.len();
         s.retain(|_, sess| sess.idle_for() < ttl);
         let expired = before - s.len();
@@ -144,7 +145,6 @@ impl SessionTable {
         let mut v: Vec<(u64, u64)> = self
             .sessions
             .lock()
-            .unwrap()
             .iter()
             .map(|(&id, sess)| (id, sess.snapshot.epoch()))
             .collect();
@@ -154,7 +154,7 @@ impl SessionTable {
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.sessions.lock().unwrap().len()
+        self.sessions.lock().len()
     }
 
     /// Is the table empty?

@@ -19,6 +19,55 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The body of [`Engine::query`] and [`Engine::query_at`]: parse, then
+/// run a SELECT (or render its EXPLAIN) against `cat` inside a `query`
+/// span, with the statement-class and parse/exec accounting.
+fn run_query(cat: exec::Catalog<'_>, sql_text: &str) -> Result<ResultSet, DbError> {
+    let parse_started = Instant::now();
+    let stmt = sql::parse_statement(sql_text)?;
+    obs::incr(obs::Counter::StmtParsed);
+    obs::record_duration(obs::Hist::ParseNs, parse_started.elapsed());
+    let class = stmt_class(&stmt);
+    let (sel, analyze) = match stmt {
+        Stmt::Select(sel) => (sel, None),
+        Stmt::Explain { analyze, select } => (select, Some(analyze)),
+        _ => {
+            return Err(DbError::Execution(
+                "query() only accepts SELECT statements".into(),
+            ))
+        }
+    };
+    let _class_scope = obs::class_scope(class);
+    let mut span = obs::span("query");
+    span.annotate(|| {
+        format!(
+            "class={} from={}",
+            class.name(),
+            sel.from.as_deref().unwrap_or("-")
+        )
+    });
+    obs::incr(obs::Counter::QueriesRun);
+    let exec_started = Instant::now();
+    let result = match analyze {
+        None => exec::run_select(cat, &sel),
+        Some(analyze) => exec::run_explain(cat, &sel, analyze),
+    };
+    obs::record_statement(class, exec_started.elapsed().as_nanos() as u64);
+    obs::record_duration(obs::Hist::ExecNs, exec_started.elapsed());
+    result
+}
+
+/// The body of [`Engine::query_reference`] and
+/// [`Engine::query_reference_at`].
+fn run_query_reference(cat: exec::Catalog<'_>, sql_text: &str) -> Result<ResultSet, DbError> {
+    match sql::parse_statement(sql_text)? {
+        Stmt::Select(sel) => exec::run_select_reference(cat, &sel),
+        _ => Err(DbError::Execution(
+            "query() only accepts SELECT statements".into(),
+        )),
+    }
+}
+
 /// Telemetry class of a parsed statement.
 fn stmt_class(stmt: &Stmt) -> obs::StmtClass {
     match stmt {
@@ -823,39 +872,7 @@ impl Engine {
 
     /// Run a SELECT (or `EXPLAIN [ANALYZE] SELECT`) and return its rows.
     pub fn query(&self, sql_text: &str) -> Result<ResultSet, DbError> {
-        let parse_started = Instant::now();
-        let stmt = sql::parse_statement(sql_text)?;
-        obs::incr(obs::Counter::StmtParsed);
-        obs::record_duration(obs::Hist::ParseNs, parse_started.elapsed());
-        let class = stmt_class(&stmt);
-        let (sel, analyze) = match stmt {
-            Stmt::Select(sel) => (sel, None),
-            Stmt::Explain { analyze, select } => (select, Some(analyze)),
-            _ => {
-                return Err(DbError::Execution(
-                    "query() only accepts SELECT statements".into(),
-                ))
-            }
-        };
-        let _class_scope = obs::class_scope(class);
-        let mut span = obs::span("query");
-        span.annotate(|| {
-            format!(
-                "class={} from={}",
-                class.name(),
-                sel.from.as_deref().unwrap_or("-")
-            )
-        });
-        obs::incr(obs::Counter::QueriesRun);
-        let exec_started = Instant::now();
-        let cat = exec::Catalog::Live(self);
-        let result = match analyze {
-            None => exec::run_select(cat, &sel),
-            Some(analyze) => exec::run_explain(cat, &sel, analyze),
-        };
-        obs::record_statement(class, exec_started.elapsed().as_nanos() as u64);
-        obs::record_duration(obs::Hist::ExecNs, exec_started.elapsed());
-        result
+        run_query(exec::Catalog::Live(self), sql_text)
     }
 
     /// Run a SELECT (or `EXPLAIN [ANALYZE] SELECT`) against a pinned
@@ -864,31 +881,7 @@ impl Engine {
     /// same snapshot return identical results no matter how many writers
     /// commit in between — and hold no engine lock while they run.
     pub fn query_at(&self, snapshot: &Snapshot, sql_text: &str) -> Result<ResultSet, DbError> {
-        let parse_started = Instant::now();
-        let stmt = sql::parse_statement(sql_text)?;
-        obs::incr(obs::Counter::StmtParsed);
-        obs::record_duration(obs::Hist::ParseNs, parse_started.elapsed());
-        let class = stmt_class(&stmt);
-        let (sel, analyze) = match stmt {
-            Stmt::Select(sel) => (sel, None),
-            Stmt::Explain { analyze, select } => (select, Some(analyze)),
-            _ => {
-                return Err(DbError::Execution(
-                    "query_at() only accepts SELECT statements".into(),
-                ))
-            }
-        };
-        let _class_scope = obs::class_scope(class);
-        obs::incr(obs::Counter::QueriesRun);
-        let exec_started = Instant::now();
-        let cat = exec::Catalog::At(snapshot);
-        let result = match analyze {
-            None => exec::run_select(cat, &sel),
-            Some(analyze) => exec::run_explain(cat, &sel, analyze),
-        };
-        obs::record_statement(class, exec_started.elapsed().as_nanos() as u64);
-        obs::record_duration(obs::Hist::ExecNs, exec_started.elapsed());
-        result
+        run_query(exec::Catalog::At(snapshot), sql_text)
     }
 
     /// [`Engine::query_reference`] at a pinned [`Snapshot`]: the oracle for
@@ -899,12 +892,7 @@ impl Engine {
         snapshot: &Snapshot,
         sql_text: &str,
     ) -> Result<ResultSet, DbError> {
-        match sql::parse_statement(sql_text)? {
-            Stmt::Select(sel) => exec::run_select_reference(exec::Catalog::At(snapshot), &sel),
-            _ => Err(DbError::Execution(
-                "query() only accepts SELECT statements".into(),
-            )),
-        }
+        run_query_reference(exec::Catalog::At(snapshot), sql_text)
     }
 
     /// Run a SELECT through the unoptimized reference executor: full table
@@ -912,12 +900,7 @@ impl Engine {
     /// Exists as the oracle for the equivalence tests and as the baseline
     /// for the `microbench` binary — not for production use.
     pub fn query_reference(&self, sql_text: &str) -> Result<ResultSet, DbError> {
-        match sql::parse_statement(sql_text)? {
-            Stmt::Select(sel) => exec::run_select_reference(exec::Catalog::Live(self), &sel),
-            _ => Err(DbError::Execution(
-                "query() only accepts SELECT statements".into(),
-            )),
-        }
+        run_query_reference(exec::Catalog::Live(self), sql_text)
     }
 
     // ---- durability (write-ahead log) ------------------------------------
@@ -1286,6 +1269,25 @@ mod tests {
         assert_eq!(schema.arity(), 2);
         assert_eq!(rows.len(), 1);
         assert_eq!(db.row_count("t").unwrap(), 1);
+    }
+
+    #[test]
+    fn pinned_reads_emit_the_query_span() {
+        let db = Engine::new();
+        db.execute("CREATE TABLE span_pinned (a INTEGER)").unwrap();
+        let snap = db.snapshot();
+        let collector = obs::TraceCollector::new();
+        obs::set_sink(Some(collector.clone()));
+        let rs = db.query_at(&snap, "SELECT count(*) FROM span_pinned");
+        obs::set_sink(None);
+        rs.unwrap();
+        let spans: Vec<String> = collector
+            .records()
+            .into_iter()
+            .filter(|r| r.name == "query" && r.detail.ends_with("from=span_pinned"))
+            .map(|r| r.detail)
+            .collect();
+        assert_eq!(spans, ["class=select from=span_pinned"]);
     }
 
     #[test]

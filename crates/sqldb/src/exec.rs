@@ -1,35 +1,37 @@
-//! SELECT execution: compile → scan/index → join → filter →
-//! group/aggregate → project → distinct → order → limit.
+//! SELECT execution, split into a plan and the execution of that plan.
 //!
-//! The optimized pipeline (entry: [`run_select`]):
+//! [`plan`] makes every execution decision for one statement exactly once
+//! and returns a [`Plan`]:
 //!
-//! * **Expression compilation** — WHERE filters and projections are lowered
-//!   once per statement into [`CompiledExpr`] evaluators with pre-resolved
-//!   column indices (see [`crate::compile`]).
-//! * **Zero-copy scans** — single-table queries stream under the table's
-//!   `RwLock` read guard; only matching, projected rows are materialised.
-//!   This extends the paper's §4.2 in-database operator advantage from
-//!   aggregation to plain filter/project/order queries.
-//! * **Secondary-index lookups** — a `col = <const>` or `col IN (...)`
-//!   conjunct in the WHERE clause probes the table's secondary index (when
-//!   one exists); range conjuncts (`<`, `<=`, `>`, `>=`, BETWEEN-shaped
-//!   pairs) scan the *ordered* index variant. The residual filter runs
-//!   only over the candidate rows.
-//! * **Hash equi-joins** — `JOIN ... ON a.x = b.y` builds the hash table on
-//!   the smaller input, keyed by [`ValueKey`]; output order is identical to
-//!   the naive accumulated-major nested loop.
-//! * **Parallel segmented scans** — above a calibrated row threshold (see
-//!   [`scan_tuning`]), a scan splits into per-thread segments
-//!   (`std::thread::scope`) whose partial results concatenate (plain
-//!   scans) or merge (aggregations, via [`Accumulator::merge`]) in segment
-//!   order, preserving sequential output order.
+//! * **Source** — the single row of a table-less SELECT, one pinned table
+//!   version read through its [`AccessPlan`] (secondary-index point,
+//!   IN-list or range probes, see [`plan_access`]; otherwise a full scan),
+//!   or a chain of hash equi-joins.
+//! * **Filter** — vectorized [`VecAtom`]s over a columnar table's typed
+//!   vectors when every WHERE conjunct lowers to one, otherwise a
+//!   [`CompiledExpr`] with pre-resolved column indices.
+//! * **Body** — streaming aggregation (grouped by dictionary code for a
+//!   single TEXT key), general aggregation over expressions, a pure-column
+//!   projection read from the column store, or an expression projection.
+//! * **Finalize** — DISTINCT, ORDER BY and LIMIT.
+//!
+//! [`run_select`] executes that plan; [`run_explain`] renders the same
+//! value and, under ANALYZE, executes it once, annotating every node with
+//! its rows out and the wall time of its passes.
+//!
+//! Execution holds no engine lock: tables are pinned `Arc<Table>` versions
+//! (see [`Catalog`]) and only matching, projected rows are materialised.
+//! Above a calibrated row threshold (see [`scan_tuning`]) a single-table
+//! row scan splits into per-thread segments whose partial results
+//! concatenate or merge (via [`Accumulator::merge`]) in segment order,
+//! preserving sequential output order.
 //!
 //! [`run_select_reference`] keeps the unoptimized pipeline — snapshot +
 //! interpreted evaluation + nested-loop joins — as the oracle for the
 //! equivalence tests and the baseline for the `microbench` binary.
 
 use crate::aggregate::{Accumulator, AggKind};
-use crate::column::{ColumnStore, ColumnVec, DictColumn};
+use crate::column::{ColumnStore, ColumnVec, NullBitmap};
 use crate::compile::{compile, CompiledExpr};
 use crate::engine::{Engine, ResultSet};
 use crate::error::DbError;
@@ -39,10 +41,12 @@ use crate::snapshot::Snapshot;
 use crate::sql::{JoinClause, SelectItem, SelectStmt, SqlExpr};
 use crate::table::{Row, Table};
 use crate::value::{DataType, Value, ValueKey};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
-use std::sync::OnceLock;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Tuning values for the parallel segmented scan, fixed once per process.
 ///
@@ -159,22 +163,10 @@ impl Catalog<'_> {
     }
 }
 
-/// Materialise a table's schema and rows from the catalog view.
-fn materialize(cat: Catalog<'_>, name: &str) -> Result<(Schema, Vec<Row>), DbError> {
-    let t = cat.pin(name)?;
-    Ok((t.schema.clone(), t.rows().to_vec()))
-}
-
-/// Execute a SELECT against a catalog view (optimized pipeline).
+/// Execute a SELECT against a catalog view (optimized pipeline): plan it,
+/// then run the plan.
 pub(crate) fn run_select(cat: Catalog<'_>, sel: &SelectStmt) -> Result<ResultSet, DbError> {
-    match &sel.from {
-        None => general_select(sel, Schema::default(), vec![Vec::new()]),
-        Some(base) if sel.joins.is_empty() => single_table_select(cat, base, sel),
-        Some(base) => {
-            let (schema, rows) = join_input(cat, base, &sel.joins)?;
-            general_select(sel, schema, rows)
-        }
-    }
+    Ok(execute(&plan(cat, sel)?)?.0)
 }
 
 /// Execute a SELECT through the reference pipeline: table snapshots,
@@ -187,13 +179,11 @@ pub(crate) fn run_select_reference(
 ) -> Result<ResultSet, DbError> {
     let (schema, mut rows) = match &sel.from {
         None => (Schema::default(), vec![Vec::new()]),
-        Some(base) => {
-            if sel.joins.is_empty() {
-                materialize(cat, base)?
-            } else {
-                join_input_nested_loop(cat, base, &sel.joins)?
-            }
+        Some(base) if sel.joins.is_empty() => {
+            let t = cat.pin(base)?;
+            (t.schema.clone(), t.rows().to_vec())
         }
+        Some(base) => join_input_nested_loop(cat, base, &sel.joins)?,
     };
 
     if let Some(w) = &sel.where_clause {
@@ -213,10 +203,10 @@ pub(crate) fn run_select_reference(
         rows = kept;
     }
 
-    let (columns, out_rows) = if is_aggregation(sel) {
+    let columns = output_names(sel, &schema);
+    let out_rows = if is_aggregation(sel) {
         aggregate_project(sel, &schema, &rows)?
     } else {
-        let columns = output_names(sel, &schema);
         let mut out = Vec::with_capacity(rows.len());
         for r in &rows {
             let ctx = RowCtx {
@@ -232,10 +222,10 @@ pub(crate) fn run_select_reference(
             }
             out.push(projected);
         }
-        (columns, out)
+        out
     };
 
-    finalize(sel, columns, out_rows)
+    finalize(sel, columns, out_rows, &mut Profile::default())
 }
 
 /// Does the statement have an aggregation shape (aggregate call or
@@ -248,107 +238,331 @@ fn is_aggregation(sel: &SelectStmt) -> bool {
         })
 }
 
-/// Single-table SELECT: stream over the pinned table version (no lock is
-/// held during the scan), optionally through a secondary-index point
-/// lookup, with compiled expressions throughout.
-fn single_table_select(
-    cat: Catalog<'_>,
-    base: &str,
-    sel: &SelectStmt,
-) -> Result<ResultSet, DbError> {
-    let pinned = cat.pin(base)?;
-    let table: &Table = &pinned;
-    let schema = &table.schema;
-
-    let filter = sel.where_clause.as_ref().map(|w| compile(w, schema));
-    let filter = filter.as_ref();
-    let t_plan = Instant::now();
-    let candidates = plan_access(sel.where_clause.as_ref(), table).candidates;
-    obs::record_duration(obs::Hist::PlanNs, t_plan.elapsed());
-
-    // Columnar tables first try the vectorized operator path; an
-    // unvectorizable WHERE clause falls through to the row path below
-    // (served by the table's materialized-row cache).
-    if let Some(store) = table.column_store() {
-        if let Some((columns, out_rows)) =
-            columnar_select(store, schema, sel, candidates.as_deref())?
-        {
-            return finalize(sel, columns, out_rows);
-        }
-    }
-
-    if is_aggregation(sel) {
-        if let Some(key_idx) = resolve_group_keys(sel, schema) {
-            if let Some(plan) = plan_fast(sel, schema, &key_idx) {
-                let out_rows = match &candidates {
-                    Some(ids) => {
-                        let mut agg = FastAgg::new(plan, key_idx);
-                        for &i in ids {
-                            let row = &table.rows()[i];
-                            if passes(filter, row)? {
-                                agg.update(row);
-                            }
-                        }
-                        agg.finish()?
-                    }
-                    None => fast_agg_scan(table.rows(), filter, plan, key_idx)?,
-                };
-                let columns = output_names(sel, schema);
-                return finalize(sel, columns, out_rows);
-            }
-        }
-        // General aggregation (expressions over aggregates, unresolved
-        // keys, …): materialise only the matching rows, then group.
-        let star = [CompiledItem::Star];
-        let rows = match &candidates {
-            Some(ids) => project_ids(table, ids, filter, &star)?,
-            None => project_scan(table.rows(), filter, &star)?,
-        };
-        let (columns, out_rows) = aggregate_project(sel, schema, &rows)?;
-        return finalize(sel, columns, out_rows);
-    }
-
-    // Plain filter/project: stream, never snapshot.
-    let items = compile_items(sel, schema);
-    let columns = output_names(sel, schema);
-    let out_rows = match &candidates {
-        Some(ids) => project_ids(table, ids, filter, &items)?,
-        None => project_scan(table.rows(), filter, &items)?,
-    };
-    finalize(sel, columns, out_rows)
+/// The physical plan of one SELECT. [`plan`] makes every execution
+/// decision exactly once; [`execute`] runs the plan and [`render`] prints
+/// it, so EXPLAIN always describes the path the executor takes.
+struct Plan<'s> {
+    sel: &'s SelectStmt,
+    source: Source,
+    filter: Filter,
+    body: Body,
 }
 
-/// General pipeline over an already-materialised relation (joined input or
-/// table-less SELECT), with compiled filter and projection.
-fn general_select(
-    sel: &SelectStmt,
+/// Where the rows entering the filter come from.
+enum Source {
+    /// Table-less SELECT: one empty row.
+    Values,
+    /// One pinned table version, read through its access plan.
+    Table {
+        table: Arc<Table>,
+        access: AccessPlan,
+    },
+    /// A chain of hash equi-joins.
+    Join(JoinChain),
+}
+
+/// The pinned tables of a join chain, each step's key columns resolved
+/// against the qualified (`table.column`) schema accumulated before it.
+struct JoinChain {
+    base: Arc<Table>,
+    /// `(joined table, accumulated key column, joined key column)`.
+    steps: Vec<(Arc<Table>, usize, usize)>,
+    /// Qualified schema of the joined relation.
     schema: Schema,
-    mut rows: Vec<Row>,
-) -> Result<ResultSet, DbError> {
-    if let Some(w) = &sel.where_clause {
-        let f = compile(w, &schema);
-        let mut kept = Vec::with_capacity(rows.len());
-        for r in rows {
-            if f.matches(&r)? {
-                kept.push(r);
+}
+
+/// How the WHERE clause runs.
+enum Filter {
+    /// Column-at-a-time conjuncts covering the whole clause, over a
+    /// columnar table's typed vectors.
+    Vectorized(Vec<VecAtom>),
+    /// A compiled row predicate; `None` without a WHERE clause.
+    Rows(Option<CompiledExpr>),
+}
+
+/// What turns the filtered rows into output rows.
+enum Body {
+    /// Single-pass streaming aggregation for `g…, agg(col)… GROUP BY g…`.
+    FastAggregate {
+        items: Vec<FastItem>,
+        keys: Vec<usize>,
+    },
+    /// Streaming aggregation grouped by the dictionary codes of a single
+    /// TEXT key (after a vectorized filter only).
+    DictAggregate { items: Vec<FastItem>, key: usize },
+    /// Group the filtered rows, then evaluate expressions over aggregates.
+    GeneralAggregate,
+    /// Plain columns (`*` expanded) read from the column store (after a
+    /// vectorized filter only).
+    Columns(Vec<usize>),
+    /// Compiled expression projection.
+    Exprs(Vec<CompiledItem>),
+}
+
+/// The schema a table-less SELECT evaluates against.
+static NO_COLUMNS: Schema = Schema {
+    columns: Vec::new(),
+};
+
+impl Source {
+    /// The schema the filter and body evaluate against.
+    fn schema(&self) -> &Schema {
+        match self {
+            Source::Values => &NO_COLUMNS,
+            Source::Table { table, .. } => &table.schema,
+            Source::Join(chain) => &chain.schema,
+        }
+    }
+}
+
+/// Plan a SELECT: pin its tables, choose the access path, lower the WHERE
+/// clause and pick the body.
+fn plan<'s>(cat: Catalog<'_>, sel: &'s SelectStmt) -> Result<Plan<'s>, DbError> {
+    let source = match &sel.from {
+        None => Source::Values,
+        Some(base) if sel.joins.is_empty() => {
+            let table = cat.pin(base)?;
+            let t_plan = Instant::now();
+            let access = plan_access(sel.where_clause.as_ref(), &table);
+            obs::record_duration(obs::Hist::PlanNs, t_plan.elapsed());
+            Source::Table { table, access }
+        }
+        Some(base) => Source::Join(plan_joins(cat, base, &sel.joins)?),
+    };
+    let schema = source.schema();
+    // A columnar table runs vectorized when every WHERE conjunct lowers to
+    // a VecAtom; otherwise the row path serves it (over the row cache).
+    let store = match &source {
+        Source::Table { table, .. } => table.column_store(),
+        _ => None,
+    };
+    let atoms = store.and_then(|st| compile_vec_filter(sel.where_clause.as_ref(), schema, st));
+    let store = store.filter(|_| atoms.is_some());
+    let filter = match atoms {
+        Some(atoms) => Filter::Vectorized(atoms),
+        None => Filter::Rows(sel.where_clause.as_ref().map(|w| compile(w, schema))),
+    };
+    let body = if is_aggregation(sel) {
+        let keys: Option<Vec<usize>> = sel.group_by.iter().map(|g| schema.index_of(g)).collect();
+        match keys.and_then(|keys| Some((plan_fast(sel, schema, &keys)?, keys))) {
+            Some((items, keys)) => match (store, keys.as_slice()) {
+                (Some(st), &[key]) if matches!(st.col(key), ColumnVec::Text(_)) => {
+                    Body::DictAggregate { items, key }
+                }
+                _ => Body::FastAggregate { items, keys },
+            },
+            // Expressions over aggregates, unresolved keys, …
+            None => Body::GeneralAggregate,
+        }
+    } else {
+        match store.and_then(|_| pure_column_projection(sel, schema)) {
+            Some(cols) => Body::Columns(cols),
+            None => Body::Exprs(compile_items(sel, schema)),
+        }
+    };
+    Ok(Plan {
+        sel,
+        source,
+        filter,
+        body,
+    })
+}
+
+/// Rows out and wall time of one executed plan node: the summed time of
+/// the passes it took part in. Nodes fused into one pass share its time.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeStats {
+    rows: usize,
+    time: Duration,
+}
+
+/// What one execution of a plan saw at its node boundaries — the EXPLAIN
+/// ANALYZE annotations. Rows are counted locally and time is read once
+/// per pass, never per row.
+#[derive(Debug, Default)]
+struct Profile {
+    source: NodeStats,
+    /// One entry per join step, in join order.
+    joins: Vec<NodeStats>,
+    filter: NodeStats,
+    body: NodeStats,
+    distinct: NodeStats,
+    sort: NodeStats,
+    limit: NodeStats,
+}
+
+/// Close the pass that began at `started`: every node it covered is
+/// charged its wall time.
+fn end_pass<const N: usize>(started: Instant, nodes: [&mut NodeStats; N]) {
+    let time = started.elapsed();
+    for n in nodes {
+        n.time += time;
+    }
+}
+
+/// Run a plan: the result set and what each node produced.
+fn execute(plan: &Plan<'_>) -> Result<(ResultSet, Profile), DbError> {
+    let mut prof = Profile::default();
+    let out_rows = match (&plan.source, &plan.filter) {
+        (Source::Table { table, access }, filter) => {
+            let ids = access.candidates.as_deref();
+            prof.source.rows = ids.map_or(table.len(), <[usize]>::len);
+            match filter {
+                Filter::Vectorized(atoms) => {
+                    let store = table
+                        .column_store()
+                        .expect("vectorized plan over a row table");
+                    run_vectorized(plan, store, atoms, ids, &mut prof)?
+                }
+                Filter::Rows(f) => {
+                    if table.is_columnar() {
+                        obs::incr(obs::Counter::VectorizedFallbacks);
+                    }
+                    run_table_rows(plan, table.rows(), ids, f.as_ref(), &mut prof)?
+                }
             }
         }
-        rows = kept;
-    }
-
-    let (columns, out_rows) = if is_aggregation(sel) {
-        aggregate_project(sel, &schema, &rows)?
-    } else {
-        let items = compile_items(sel, &schema);
-        let columns = output_names(sel, &schema);
-        let mut out = Vec::with_capacity(rows.len());
-        for r in &rows {
-            out.push(project_row(r, &items)?);
+        (Source::Values, Filter::Rows(f)) => {
+            prof.source.rows = 1;
+            run_relation(plan, vec![Vec::new()], f.as_ref(), &mut prof)?
         }
-        (columns, out)
+        (Source::Join(chain), Filter::Rows(f)) => {
+            let rows = hash_join(chain, &mut prof);
+            run_relation(plan, rows, f.as_ref(), &mut prof)?
+        }
+        (_, Filter::Vectorized(_)) => unreachable!("vectorized plan without a table"),
     };
+    // General aggregation groups the selected rows in a pass of its own.
+    let out_rows = match plan.body {
+        Body::GeneralAggregate => {
+            let started = Instant::now();
+            let out = aggregate_project(plan.sel, plan.source.schema(), &out_rows)?;
+            prof.body.rows = out.len();
+            end_pass(started, [&mut prof.body]);
+            out
+        }
+        _ => out_rows,
+    };
+    let columns = output_names(plan.sel, plan.source.schema());
+    let rs = finalize(plan.sel, columns, out_rows, &mut prof)?;
+    Ok((rs, prof))
+}
 
-    finalize(sel, columns, out_rows)
+/// Vectorized selection over the column store (one pass), then the body
+/// over the selected positions (a second pass).
+fn run_vectorized(
+    plan: &Plan<'_>,
+    store: &ColumnStore,
+    atoms: &[VecAtom],
+    ids: Option<&[usize]>,
+    prof: &mut Profile,
+) -> Result<Vec<Row>, DbError> {
+    obs::incr(obs::Counter::VectorizedScans);
+    let started = Instant::now();
+    let sv = vectorized_selection(store, atoms, ids);
+    prof.filter.rows = sv.len();
+    end_pass(started, [&mut prof.source, &mut prof.filter]);
+
+    let started = Instant::now();
+    let out = match &plan.body {
+        Body::DictAggregate { items, key } => dict_grouped_agg(store, &sv, items, *key)?,
+        Body::FastAggregate { items, keys } => {
+            let mut agg = FastAgg::new(items, keys);
+            for &p in &sv {
+                agg.update(|i| store.value(p, i));
+            }
+            agg.finish()?
+        }
+        // Materialise only the selected rows for the grouping pass.
+        Body::GeneralAggregate => sv.iter().map(|&p| store.materialize_row(p)).collect(),
+        Body::Columns(cols) => sv
+            .iter()
+            .map(|&p| cols.iter().map(|&c| store.value(p, c)).collect())
+            .collect(),
+        // Errors surface for selected rows only, exactly like the row path.
+        Body::Exprs(items) => sv
+            .iter()
+            .map(|&p| project_row(&store.materialize_row(p), items))
+            .collect::<Result<_, _>>()?,
+    };
+    prof.body.rows = out.len();
+    end_pass(started, [&mut prof.body]);
+    Ok(out)
+}
+
+/// Row-path scan of a pinned table — its index candidates, or every row
+/// in parallel segments above the threshold — with the filter fused into
+/// the body's pass.
+fn run_table_rows(
+    plan: &Plan<'_>,
+    rows: &[Row],
+    ids: Option<&[usize]>,
+    filter: Option<&CompiledExpr>,
+    prof: &mut Profile,
+) -> Result<Vec<Row>, DbError> {
+    let started = Instant::now();
+    let out = match &plan.body {
+        Body::FastAggregate { items, keys } => {
+            let agg = match ids {
+                Some(ids) => fast_agg_rows(ids.iter().map(|&i| &rows[i]), filter, items, keys)?,
+                None => fast_agg_scan(rows, filter, items, keys)?,
+            };
+            prof.filter.rows = agg.rows_in;
+            agg.finish()?
+        }
+        Body::Exprs(items) => filter_project(rows, ids, filter, items)?,
+        Body::GeneralAggregate => filter_project(rows, ids, filter, &[CompiledItem::Star])?,
+        Body::DictAggregate { .. } | Body::Columns(_) => {
+            unreachable!("column-store body without a vectorized filter")
+        }
+    };
+    if !matches!(plan.body, Body::FastAggregate { .. }) {
+        prof.filter.rows = out.len();
+    }
+    prof.body.rows = out.len();
+    end_pass(
+        started,
+        [&mut prof.source, &mut prof.filter, &mut prof.body],
+    );
+    Ok(out)
+}
+
+/// Filter, then body, over a materialised relation (join output or the
+/// VALUES row): one sequential pass each.
+fn run_relation(
+    plan: &Plan<'_>,
+    rows: Vec<Row>,
+    filter: Option<&CompiledExpr>,
+    prof: &mut Profile,
+) -> Result<Vec<Row>, DbError> {
+    let started = Instant::now();
+    let rows = match filter {
+        Some(f) => {
+            let mut kept = Vec::with_capacity(rows.len());
+            for r in rows {
+                if f.matches(&r)? {
+                    kept.push(r);
+                }
+            }
+            kept
+        }
+        None => rows,
+    };
+    prof.filter.rows = rows.len();
+    end_pass(started, [&mut prof.filter]);
+
+    let started = Instant::now();
+    let out = match &plan.body {
+        Body::FastAggregate { items, keys } => fast_agg_rows(&rows, None, items, keys)?.finish()?,
+        Body::Exprs(items) => project_segment(&rows, None, items)?,
+        Body::GeneralAggregate => rows,
+        Body::DictAggregate { .. } | Body::Columns(_) => {
+            unreachable!("column-store body without a vectorized filter")
+        }
+    };
+    prof.body.rows = out.len();
+    end_pass(started, [&mut prof.body]);
+    Ok(out)
 }
 
 /// One compiled projection item.
@@ -388,8 +602,8 @@ fn project_row(r: &Row, items: &[CompiledItem]) -> Result<Row, DbError> {
     Ok(projected)
 }
 
-fn project_segment(
-    rows: &[Row],
+fn project_segment<'r>(
+    rows: impl IntoIterator<Item = &'r Row>,
     filter: Option<&CompiledExpr>,
     items: &[CompiledItem],
 ) -> Result<Vec<Row>, DbError> {
@@ -403,21 +617,18 @@ fn project_segment(
     Ok(out)
 }
 
-/// Filter + project index candidates (already in row order).
-fn project_ids(
-    table: &Table,
-    ids: &[usize],
+/// Filter + project a table's index candidates (already in row order), or
+/// all of its rows when there are none.
+fn filter_project(
+    rows: &[Row],
+    ids: Option<&[usize]>,
     filter: Option<&CompiledExpr>,
     items: &[CompiledItem],
 ) -> Result<Vec<Row>, DbError> {
-    let mut out = Vec::new();
-    for &i in ids {
-        let r = &table.rows()[i];
-        if !passes(filter, r)? {
-            continue;
-        }
-        out.push(project_row(r, items)?);
-    }
+    let Some(ids) = ids else {
+        return project_scan(rows, filter, items);
+    };
+    let out = project_segment(ids.iter().map(|&i| &rows[i]), filter, items)?;
     obs::add(obs::Counter::ResidualChecks, ids.len() as u64);
     obs::add(obs::Counter::ResidualDrops, (ids.len() - out.len()) as u64);
     Ok(out)
@@ -436,90 +647,80 @@ fn scan_threads(n: usize) -> usize {
     tuning.max_threads.min(useful).max(1)
 }
 
-/// Filter + project a full table scan, in parallel segments above the
-/// threshold. Segment outputs concatenate in segment order, so the result
-/// is identical to the sequential scan.
+/// Run `work` over a full table scan — in parallel segments above the
+/// threshold — and return its results in segment order, so that
+/// concatenating or merging them reproduces the sequential scan (and the
+/// first failing segment gives the first error in row order).
+fn segmented<T: Send>(
+    rows: &[Row],
+    work: impl Fn(&[Row]) -> Result<T, DbError> + Sync,
+) -> Result<Vec<T>, DbError> {
+    obs::add(obs::Counter::ScanRowsVisited, rows.len() as u64);
+    let threads = scan_threads(rows.len());
+    if threads <= 1 {
+        obs::incr(obs::Counter::SerialScans);
+        return Ok(vec![work(rows)?]);
+    }
+    obs::incr(obs::Counter::ParallelScans);
+    let chunk = rows.len().div_ceil(threads);
+    let work = &work;
+    let partials: Vec<Result<T, DbError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = rows
+            .chunks(chunk)
+            .map(|seg| scope.spawn(move || work(seg)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("scan worker panicked"))
+            .collect()
+    });
+    partials.into_iter().collect()
+}
+
+/// Filter + project a full table scan; segment outputs concatenate.
 fn project_scan(
     rows: &[Row],
     filter: Option<&CompiledExpr>,
     items: &[CompiledItem],
 ) -> Result<Vec<Row>, DbError> {
-    obs::add(obs::Counter::ScanRowsVisited, rows.len() as u64);
-    let threads = scan_threads(rows.len());
-    if threads <= 1 {
-        obs::incr(obs::Counter::SerialScans);
-        return project_segment(rows, filter, items);
-    }
-    obs::incr(obs::Counter::ParallelScans);
-    let chunk = rows.len().div_ceil(threads);
-    let partials: Vec<Result<Vec<Row>, DbError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rows
-            .chunks(chunk)
-            .map(|seg| scope.spawn(move || project_segment(seg, filter, items)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::new();
-    for p in partials {
-        out.extend(p?); // first failing segment = first error in row order
+    let mut parts = segmented(rows, |seg| project_segment(seg, filter, items))?.into_iter();
+    let mut out = parts.next().unwrap_or_default();
+    for p in parts {
+        out.extend(p);
     }
     Ok(out)
 }
 
-/// Streaming aggregation over a full scan, in parallel segments above the
-/// threshold; partials merge in segment order so group order matches the
-/// sequential first-seen order.
-fn fast_agg_scan(
+/// Streaming aggregation over a row sequence, filtered on the way.
+fn fast_agg_rows<'r, 'p>(
+    rows: impl IntoIterator<Item = &'r Row>,
+    filter: Option<&CompiledExpr>,
+    items: &'p [FastItem],
+    keys: &'p [usize],
+) -> Result<FastAgg<'p>, DbError> {
+    let mut agg = FastAgg::new(items, keys);
+    for row in rows {
+        if passes(filter, row)? {
+            agg.update(|i| &row[i]);
+        }
+    }
+    Ok(agg)
+}
+
+/// Streaming aggregation over a full scan; segment partials merge in
+/// segment order, so group order matches the sequential first-seen order.
+fn fast_agg_scan<'p>(
     rows: &[Row],
     filter: Option<&CompiledExpr>,
-    plan: Vec<FastItem>,
-    key_idx: Vec<usize>,
-) -> Result<Vec<Row>, DbError> {
-    obs::add(obs::Counter::ScanRowsVisited, rows.len() as u64);
-    let threads = scan_threads(rows.len());
-    if threads <= 1 {
-        obs::incr(obs::Counter::SerialScans);
-        let mut agg = FastAgg::new(plan, key_idx);
-        for row in rows {
-            if passes(filter, row)? {
-                agg.update(row);
-            }
-        }
-        return agg.finish();
+    items: &'p [FastItem],
+    keys: &'p [usize],
+) -> Result<FastAgg<'p>, DbError> {
+    let mut parts = segmented(rows, |seg| fast_agg_rows(seg, filter, items, keys))?.into_iter();
+    let mut agg = parts.next().expect("at least one segment");
+    for p in parts {
+        agg.merge(p);
     }
-    obs::incr(obs::Counter::ParallelScans);
-    let chunk = rows.len().div_ceil(threads);
-    let partials: Vec<Result<FastAgg, DbError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rows
-            .chunks(chunk)
-            .map(|seg| {
-                let plan = plan.clone();
-                let key_idx = key_idx.clone();
-                scope.spawn(move || {
-                    let mut agg = FastAgg::new(plan, key_idx);
-                    for row in seg {
-                        if passes(filter, row)? {
-                            agg.update(row);
-                        }
-                    }
-                    Ok(agg)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    });
-    let mut iter = partials.into_iter();
-    let mut agg = iter.next().expect("at least one segment")?;
-    for p in iter {
-        agg.merge(p?);
-    }
-    agg.finish()
+    Ok(agg)
 }
 
 // ---------------------------------------------------------------------------
@@ -531,8 +732,8 @@ fn fast_agg_scan(
 // vector at a time into a selection vector of row positions; dictionary
 // predicates compare u32 codes against a precomputed per-entry truth table
 // instead of strings. Aggregation then runs batched over the selected
-// positions ([`vectorized_fast_agg`]), grouping single TEXT keys directly
-// by dictionary code.
+// positions ([`run_vectorized`]), grouping single TEXT keys directly by
+// dictionary code ([`dict_grouped_agg`]).
 //
 // The path is deliberately sequential: it reuses [`Accumulator`] in row
 // order, so results are byte-identical to the row path (same Welford
@@ -542,7 +743,7 @@ fn fast_agg_scan(
 /// Engine-exact comparison of two f64 images — the numeric arm of
 /// `Value::total_cmp` (NaN sorts last, two NaNs are equal).
 #[inline]
-fn num_cmp(x: f64, y: f64) -> std::cmp::Ordering {
+fn num_cmp(x: f64, y: f64) -> Ordering {
     match x.partial_cmp(&y) {
         Some(o) => o,
         None => x.is_nan().cmp(&y.is_nan()),
@@ -583,7 +784,7 @@ impl CmpOp {
     }
 
     #[inline]
-    fn holds(self, ord: std::cmp::Ordering) -> bool {
+    fn holds(self, ord: Ordering) -> bool {
         match self {
             CmpOp::Eq => ord.is_eq(),
             CmpOp::Ne => ord.is_ne(),
@@ -759,23 +960,7 @@ fn compile_vec_filter(
 fn compile_vec_atom(e: &SqlExpr, schema: &Schema, store: &ColumnStore) -> Option<VecAtom> {
     match e {
         SqlExpr::Binary(op, l, r) if CmpOp::of(op).is_some() => {
-            // Normalize to `col <op> lit`, flipping when the literal is on
-            // the left (same as the access planner).
-            let (name, lit, op) = match (&**l, &**r) {
-                (SqlExpr::Col(n), SqlExpr::Lit(v)) => (n, v, *op),
-                (SqlExpr::Lit(v), SqlExpr::Col(n)) => (
-                    n,
-                    v,
-                    match *op {
-                        "<" => ">",
-                        "<=" => ">=",
-                        ">" => "<",
-                        ">=" => "<=",
-                        other => other,
-                    },
-                ),
-                _ => return None,
-            };
+            let (name, lit, op) = col_cmp_lit(op, l, r)?;
             let ci = schema.index_of(name)?;
             if let ColumnVec::Text(d) = store.col(ci) {
                 // Equality against a string probes the dictionary lookup
@@ -952,38 +1137,20 @@ fn vectorized_selection(
     }
 }
 
-/// Batched fast-path aggregation over selected positions. Single TEXT
-/// group keys resolve groups by dictionary code (no hashing, no string
-/// clones on the hot path); other key shapes reuse [`FastAgg`]'s
-/// byte-encoded grouping fed straight from the typed vectors.
-fn vectorized_fast_agg(
-    store: &ColumnStore,
-    sv: &[usize],
-    plan: Vec<FastItem>,
-    key_idx: Vec<usize>,
-) -> Result<Vec<Row>, DbError> {
-    if let [ki] = key_idx[..] {
-        if let ColumnVec::Text(d) = store.col(ki) {
-            return dict_grouped_agg(store, sv, &plan, d);
-        }
-    }
-    let mut agg = FastAgg::new(plan, key_idx);
-    for &p in sv {
-        agg.update_at(store, p);
-    }
-    agg.finish()
-}
-
-/// GROUP BY over dictionary codes: group identity is the u32 code (plus
-/// one NULL slot), resolved through a direct code → group table. Group
-/// order is first-seen row order and accumulator updates run in row
-/// order — identical to [`FastAgg`].
+/// GROUP BY over the dictionary codes of the TEXT column `key`: group
+/// identity is the u32 code (plus one NULL slot), resolved through a
+/// direct code → group table — no hashing, no string clones on the hot
+/// path. Group order is first-seen row order and accumulator updates run
+/// in row order — identical to [`FastAgg`].
 fn dict_grouped_agg(
     store: &ColumnStore,
     sv: &[usize],
     plan: &[FastItem],
-    d: &DictColumn,
+    key: usize,
 ) -> Result<Vec<Row>, DbError> {
+    let ColumnVec::Text(d) = store.col(key) else {
+        unreachable!("dictionary aggregation planned over a non-TEXT key");
+    };
     const NONE: u32 = u32::MAX;
     let mut code_group = vec![NONE; d.dict().len()];
     let mut null_group = NONE;
@@ -1025,184 +1192,58 @@ fn dict_grouped_agg(
         match col {
             None => feed(&mut sv.iter().map(|_| Value::Int(1))),
             Some(i) => match store.col(*i) {
-                ColumnVec::Int { data, nulls } => feed(&mut sv.iter().map(|&p| {
-                    if nulls.is_null(p) {
-                        Value::Null
-                    } else {
-                        Value::Int(data[p])
-                    }
-                })),
-                ColumnVec::Float { data, nulls } => feed(&mut sv.iter().map(|&p| {
-                    if nulls.is_null(p) {
-                        Value::Null
-                    } else {
-                        Value::Float(data[p])
-                    }
-                })),
-                ColumnVec::Bool { data, nulls } => feed(&mut sv.iter().map(|&p| {
-                    if nulls.is_null(p) {
-                        Value::Null
-                    } else {
-                        Value::Bool(data[p])
-                    }
-                })),
-                ColumnVec::Timestamp { data, nulls } => feed(&mut sv.iter().map(|&p| {
-                    if nulls.is_null(p) {
-                        Value::Null
-                    } else {
-                        Value::Timestamp(data[p])
-                    }
-                })),
+                ColumnVec::Int { data, nulls } => feed(&mut cells(sv, data, nulls, Value::Int)),
+                ColumnVec::Float { data, nulls } => feed(&mut cells(sv, data, nulls, Value::Float)),
+                ColumnVec::Bool { data, nulls } => feed(&mut cells(sv, data, nulls, Value::Bool)),
+                ColumnVec::Timestamp { data, nulls } => {
+                    feed(&mut cells(sv, data, nulls, Value::Timestamp))
+                }
                 ColumnVec::Text(_) => feed(&mut sv.iter().map(|&p| store.value(p, *i))),
             },
         }
         acc_cols.push(accs);
     }
-    let mut out = Vec::with_capacity(keys.len());
-    for (g, key) in keys.iter().enumerate() {
-        let mut row = Vec::with_capacity(plan.len());
-        let mut a = 0;
-        for it in plan {
-            match it {
-                // The single group key, wherever the projection places it.
-                FastItem::Key(_) => row.push(key.clone()),
-                FastItem::Agg(..) => {
-                    row.push(acc_cols[a][g].finish().map_err(DbError::Type)?);
-                    a += 1;
-                }
-            }
-        }
-        out.push(row);
-    }
-    Ok(out)
-}
-
-/// One projection slot of a pure-column projection.
-enum ProjCol {
-    /// `*` — every schema column.
-    All,
-    /// A single column by index.
-    One(usize),
-}
-
-/// When every projection item is `*` or a plain resolvable column, the
-/// output can be built straight from the typed vectors.
-fn pure_column_projection(sel: &SelectStmt, schema: &Schema) -> Option<Vec<ProjCol>> {
-    sel.items
-        .iter()
-        .map(|item| match item {
-            SelectItem::Star => Some(ProjCol::All),
-            SelectItem::Expr {
-                expr: SqlExpr::Col(name),
-                ..
-            } => schema.index_of(name).map(ProjCol::One),
-            SelectItem::Expr { .. } => None,
-        })
+    // The single group key fills every key slot the projection has.
+    let accs_of = |g: usize| acc_cols.iter().map(move |accs| &accs[g]);
+    keys.iter()
+        .enumerate()
+        .map(|(g, key)| agg_row(plan, |_| key.clone(), accs_of(g)))
         .collect()
 }
 
-/// How much of a single-table SELECT runs vectorized on a columnar table.
-/// Shared by the executor and `EXPLAIN`, so the report is truthful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VecStrategy {
-    /// Selection and aggregation/projection all run column-at-a-time.
-    Full,
-    /// Selection is vectorized; aggregation or projection falls back to
-    /// row-at-a-time evaluation over the selected positions.
-    Partial,
-    /// The WHERE clause doesn't vectorize — the whole query takes the
-    /// row path (over the materialized-row cache).
-    None,
+/// The cells of a typed column vector at positions `sv`, NULL where the
+/// bitmap says so.
+fn cells<'a, T: Copy>(
+    sv: &'a [usize],
+    data: &'a [T],
+    nulls: &'a NullBitmap,
+    wrap: fn(T) -> Value,
+) -> impl Iterator<Item = Value> + 'a {
+    sv.iter().map(move |&p| {
+        if nulls.is_null(p) {
+            Value::Null
+        } else {
+            wrap(data[p])
+        }
+    })
 }
 
-impl VecStrategy {
-    fn name(self) -> &'static str {
-        match self {
-            VecStrategy::Full => "full",
-            VecStrategy::Partial => "partial",
-            VecStrategy::None => "none",
+/// When every projection item is `*` or a plain resolvable column, the
+/// output can be built straight from the typed vectors: the column
+/// indices to read, `*` expanded.
+fn pure_column_projection(sel: &SelectStmt, schema: &Schema) -> Option<Vec<usize>> {
+    let mut cols = Vec::new();
+    for item in &sel.items {
+        match item {
+            SelectItem::Star => cols.extend(0..schema.arity()),
+            SelectItem::Expr {
+                expr: SqlExpr::Col(name),
+                ..
+            } => cols.push(schema.index_of(name)?),
+            SelectItem::Expr { .. } => return None,
         }
     }
-}
-
-/// Decide the vectorization strategy from the same facts the executor
-/// uses.
-fn vectorize_strategy(schema: &Schema, store: &ColumnStore, sel: &SelectStmt) -> VecStrategy {
-    if compile_vec_filter(sel.where_clause.as_ref(), schema, store).is_none() {
-        return VecStrategy::None;
-    }
-    let full = if is_aggregation(sel) {
-        resolve_group_keys(sel, schema)
-            .is_some_and(|key_idx| plan_fast(sel, schema, &key_idx).is_some())
-    } else {
-        pure_column_projection(sel, schema).is_some()
-    };
-    if full {
-        VecStrategy::Full
-    } else {
-        VecStrategy::Partial
-    }
-}
-
-/// Output column names paired with the produced rows.
-type NamedRows = (Vec<String>, Vec<Row>);
-
-/// Execute a single-table SELECT through the vectorized path. `None`
-/// means the WHERE clause doesn't vectorize and the caller should use the
-/// row path; `Some` carries `(columns, rows)` ready for [`finalize`].
-fn columnar_select(
-    store: &ColumnStore,
-    schema: &Schema,
-    sel: &SelectStmt,
-    candidates: Option<&[usize]>,
-) -> Result<Option<NamedRows>, DbError> {
-    let Some(atoms) = compile_vec_filter(sel.where_clause.as_ref(), schema, store) else {
-        obs::incr(obs::Counter::VectorizedFallbacks);
-        return Ok(None);
-    };
-    obs::incr(obs::Counter::VectorizedScans);
-    let sv = vectorized_selection(store, &atoms, candidates);
-
-    if is_aggregation(sel) {
-        if let Some(key_idx) = resolve_group_keys(sel, schema) {
-            if let Some(plan) = plan_fast(sel, schema, &key_idx) {
-                let out = vectorized_fast_agg(store, &sv, plan, key_idx)?;
-                return Ok(Some((output_names(sel, schema), out)));
-            }
-        }
-        // General aggregation: materialize only the selected rows, then
-        // run the expression path over them (same as the row engine).
-        let rows: Vec<Row> = sv.iter().map(|&p| store.materialize_row(p)).collect();
-        return Ok(Some(aggregate_project(sel, schema, &rows)?));
-    }
-
-    let columns = output_names(sel, schema);
-    let mut out = Vec::with_capacity(sv.len());
-    match pure_column_projection(sel, schema) {
-        Some(proj) => {
-            for &p in &sv {
-                let mut row = Vec::with_capacity(columns.len());
-                for pc in &proj {
-                    match pc {
-                        ProjCol::All => row.extend((0..schema.arity()).map(|c| store.value(p, c))),
-                        ProjCol::One(c) => row.push(store.value(p, *c)),
-                    }
-                }
-                out.push(row);
-            }
-        }
-        None => {
-            // Expression projection: evaluate compiled items per selected
-            // materialized row (errors surface for selected rows only,
-            // exactly like the row path).
-            let items = compile_items(sel, schema);
-            for &p in &sv {
-                let row = store.materialize_row(p);
-                out.push(project_row(&row, &items)?);
-            }
-        }
-    }
-    Ok(Some((columns, out)))
+    Some(cols)
 }
 
 /// Index probe outcome for a `col <op> <const>` conjunct.
@@ -1236,11 +1277,7 @@ fn probe_key(dtype: DataType, lit: &Value) -> Probe {
     }
     match dtype {
         DataType::Int | DataType::Float | DataType::Timestamp => match lit.as_f64() {
-            Some(f) => {
-                let f = if f == 0.0 { 0.0 } else { f };
-                let f = if f.is_nan() { f64::NAN } else { f }; // canonical NaN
-                Probe::Key(ValueKey::Num(f.to_bits()))
-            }
+            Some(f) => Probe::Key(ValueKey::Num(norm_bits(f))),
             None => Probe::Never,
         },
         DataType::Bool => match lit {
@@ -1263,6 +1300,30 @@ fn probe_key(dtype: DataType, lit: &Value) -> Probe {
             Value::Text(s) => Probe::Key(ValueKey::Text(s.clone())),
             _ => Probe::Never,
         },
+    }
+}
+
+/// A comparison between a column and a literal, normalized to
+/// `col <op> lit`: the operator flips when the literal is on the left.
+fn col_cmp_lit<'e>(
+    op: &'static str,
+    l: &'e SqlExpr,
+    r: &'e SqlExpr,
+) -> Option<(&'e str, &'e Value, &'static str)> {
+    match (l, r) {
+        (SqlExpr::Col(n), SqlExpr::Lit(v)) => Some((n, v, op)),
+        (SqlExpr::Lit(v), SqlExpr::Col(n)) => Some((
+            n,
+            v,
+            match op {
+                "<" => ">",
+                "<=" => ">=",
+                ">" => "<",
+                ">=" => "<=",
+                other => other,
+            },
+        )),
+        _ => None,
     }
 }
 
@@ -1306,53 +1367,24 @@ fn bound_ref(b: &Bound<ValueKey>) -> Bound<&ValueKey> {
     }
 }
 
-/// The tighter of two lower bounds (greater key wins; on a tie, Excluded).
-fn tighter_lower(a: Bound<ValueKey>, b: Bound<ValueKey>) -> Bound<ValueKey> {
+/// The tighter of two bounds on one side of a range window: the key
+/// further `inward` wins (`Greater` for lower bounds, `Less` for upper
+/// bounds); on a tie, Excluded.
+fn tighter(a: Bound<ValueKey>, b: Bound<ValueKey>, inward: Ordering) -> Bound<ValueKey> {
     let (ka, ea) = match &a {
         Bound::Unbounded => return b,
         Bound::Included(k) => (k, false),
         Bound::Excluded(k) => (k, true),
     };
-    let (kb, _) = match &b {
+    let kb = match &b {
         Bound::Unbounded => return a,
-        Bound::Included(k) => (k, false),
-        Bound::Excluded(k) => (k, true),
+        Bound::Included(k) | Bound::Excluded(k) => k,
     };
     match ka.cmp(kb) {
-        std::cmp::Ordering::Greater => a,
-        std::cmp::Ordering::Less => b,
-        std::cmp::Ordering::Equal => {
-            if ea {
-                a
-            } else {
-                b
-            }
-        }
-    }
-}
-
-/// The tighter of two upper bounds (smaller key wins; on a tie, Excluded).
-fn tighter_upper(a: Bound<ValueKey>, b: Bound<ValueKey>) -> Bound<ValueKey> {
-    let (ka, ea) = match &a {
-        Bound::Unbounded => return b,
-        Bound::Included(k) => (k, false),
-        Bound::Excluded(k) => (k, true),
-    };
-    let (kb, _) = match &b {
-        Bound::Unbounded => return a,
-        Bound::Included(k) => (k, false),
-        Bound::Excluded(k) => (k, true),
-    };
-    match ka.cmp(kb) {
-        std::cmp::Ordering::Less => a,
-        std::cmp::Ordering::Greater => b,
-        std::cmp::Ordering::Equal => {
-            if ea {
-                a
-            } else {
-                b
-            }
-        }
+        Ordering::Equal if ea => a,
+        Ordering::Equal => b,
+        o if o == inward => a,
+        _ => b,
     }
 }
 
@@ -1403,22 +1435,8 @@ fn plan_access(where_clause: Option<&SqlExpr>, table: &Table) -> AccessPlan {
     for c in conjuncts {
         match c {
             SqlExpr::Binary(op, l, r) if matches!(*op, "=" | "<" | "<=" | ">" | ">=") => {
-                // Normalize to `col <op> lit`, flipping the operator when
-                // the literal is on the left.
-                let (name, lit, op) = match (&**l, &**r) {
-                    (SqlExpr::Col(n), SqlExpr::Lit(v)) => (n, v, *op),
-                    (SqlExpr::Lit(v), SqlExpr::Col(n)) => (
-                        n,
-                        v,
-                        match *op {
-                            "<" => ">",
-                            "<=" => ">=",
-                            ">" => "<",
-                            ">=" => "<=",
-                            other => other,
-                        },
-                    ),
-                    _ => continue,
+                let Some((name, lit, op)) = col_cmp_lit(op, l, r) else {
+                    continue;
                 };
                 let Some(ci) = table.schema.index_of(name) else {
                     continue;
@@ -1465,8 +1483,10 @@ fn plan_access(where_clause: Option<&SqlExpr>, table: &Table) -> AccessPlan {
                 };
                 match ranges.iter_mut().find(|(c, _, _)| *c == ci) {
                     Some((_, cur_lo, cur_hi)) => {
-                        *cur_lo = tighter_lower(std::mem::replace(cur_lo, Bound::Unbounded), lo);
-                        *cur_hi = tighter_upper(std::mem::replace(cur_hi, Bound::Unbounded), hi);
+                        let cur = std::mem::replace(cur_lo, Bound::Unbounded);
+                        *cur_lo = tighter(cur, lo, Ordering::Greater);
+                        let cur = std::mem::replace(cur_hi, Bound::Unbounded);
+                        *cur_hi = tighter(cur, hi, Ordering::Less);
                     }
                     None => ranges.push((ci, lo, hi)),
                 }
@@ -1652,18 +1672,43 @@ fn plan_point_lookup(where_clause: Option<&SqlExpr>, table: &Table) -> Option<Ve
 }
 
 /// Render `EXPLAIN [ANALYZE]` for a SELECT as a one-column result set
-/// (column `plan`), one plan step per row, listed top-down from the last
-/// operation applied to the access path at the bottom. ANALYZE also runs
-/// the query, annotating the scan with the actual candidate row count and
-/// appending a trailing `Rows returned` line.
+/// (column `plan`): the plan's nodes, one per row, top-down from the last
+/// operation to the source. ANALYZE executes the plan once, ends every
+/// node line with ` time_ms=<wall time of its pass> actual_rows=<rows
+/// out>` and appends a trailing `Rows returned` line.
 pub(crate) fn run_explain(
     cat: Catalog<'_>,
     sel: &SelectStmt,
     analyze: bool,
 ) -> Result<ResultSet, DbError> {
+    let plan = plan(cat, sel)?;
+    let lines = if analyze {
+        let (rs, prof) = execute(&plan)?;
+        let mut lines = render(&plan, Some(&prof));
+        lines.push(format!("Rows returned: {}", rs.len()));
+        lines
+    } else {
+        render(&plan, None)
+    };
+    let rows: Vec<Row> = lines.into_iter().map(|l| vec![Value::Text(l)]).collect();
+    Ok(ResultSet::new(vec!["plan".to_string()], rows))
+}
+
+/// The plan's EXPLAIN lines, top-down; with a profile, every node line
+/// carries its pass time and rows out.
+fn render(plan: &Plan<'_>, prof: Option<&Profile>) -> Vec<String> {
+    let sel = plan.sel;
+    let node = |text: String, stats: Option<NodeStats>| match stats {
+        Some(s) => format!(
+            "{text} time_ms={:.3} actual_rows={}",
+            s.time.as_secs_f64() * 1e3,
+            s.rows
+        ),
+        None => text,
+    };
     let mut lines: Vec<String> = Vec::new();
     if let Some(n) = sel.limit {
-        lines.push(format!("Limit: {n}"));
+        lines.push(node(format!("Limit: {n}"), prof.map(|p| p.limit)));
     }
     if !sel.order_by.is_empty() {
         let keys: Vec<String> = sel
@@ -1681,10 +1726,13 @@ pub(crate) fn run_explain(
                 }
             })
             .collect();
-        lines.push(format!("Sort: {}", keys.join(", ")));
+        lines.push(node(
+            format!("Sort: {}", keys.join(", ")),
+            prof.map(|p| p.sort),
+        ));
     }
     if sel.distinct {
-        lines.push("Distinct".to_string());
+        lines.push(node("Distinct".to_string(), prof.map(|p| p.distinct)));
     }
     let items: Vec<String> = sel
         .items
@@ -1698,97 +1746,76 @@ pub(crate) fn run_explain(
             SelectItem::Expr { expr, alias: None } => expr.to_string(),
         })
         .collect();
-    if is_aggregation(sel) {
-        let mut line = format!("Aggregate: {}", items.join(", "));
-        if !sel.group_by.is_empty() {
-            line.push_str(&format!(" group by {}", sel.group_by.join(", ")));
-        }
-        lines.push(line);
-    } else {
-        lines.push(format!("Project: {}", items.join(", ")));
-    }
+    let body = match plan.body {
+        Body::Columns(_) | Body::Exprs(_) => format!("Project: {}", items.join(", ")),
+        _ if sel.group_by.is_empty() => format!("Aggregate: {}", items.join(", ")),
+        _ => format!(
+            "Aggregate: {} group by {}",
+            items.join(", "),
+            sel.group_by.join(", ")
+        ),
+    };
+    lines.push(node(body, prof.map(|p| p.body)));
     if let Some(w) = &sel.where_clause {
-        lines.push(format!("Filter: {w}"));
+        lines.push(node(format!("Filter: {w}"), prof.map(|p| p.filter)));
     }
     // Joins apply left-to-right, so in top-down order the last one comes
     // first.
-    for j in sel.joins.iter().rev() {
-        lines.push(format!(
-            "Join {} ON {} = {}",
-            j.table, j.left_col, j.right_col
+    for (i, j) in sel.joins.iter().enumerate().rev() {
+        lines.push(node(
+            format!("Join {} ON {} = {}", j.table, j.left_col, j.right_col),
+            prof.map(|p| p.joins[i]),
         ));
     }
-    match &sel.from {
-        None => lines.push("Values: 1 row".to_string()),
-        Some(base) => {
-            let pinned = cat.pin(base)?;
-            let table: &Table = &pinned;
-            let nrows = table.len();
-            let plan = if sel.joins.is_empty() {
-                plan_access(sel.where_clause.as_ref(), table)
-            } else {
-                // Joined queries materialise the base table; the index
-                // planner only serves single-table SELECTs.
-                AccessPlan::full_scan(nrows as f64)
-            };
-            // Columnar tables report their layout and how much of the
-            // query the vectorized path covers — decided by the same
-            // strategy function the executor uses.
-            let layout_note = table.column_store().map(|store| {
-                if sel.joins.is_empty() {
-                    format!(
-                        " layout=columnar vectorized={}",
-                        vectorize_strategy(&table.schema, store, sel).name()
-                    )
-                } else {
-                    // Joined queries always materialise rows.
-                    " layout=columnar".to_string()
-                }
-            });
-            let mut scan = format!("Scan {base} access={}", plan.kind.name());
-            if let Some(col) = &plan.column {
+    let base = sel.from.as_deref().unwrap_or_default();
+    let source = match &plan.source {
+        Source::Values => "Values: 1 row".to_string(),
+        Source::Table { table, access } => {
+            let mut scan = format!("Scan {base} access={}", access.kind.name());
+            if let Some(col) = &access.column {
                 scan.push_str(&format!(" column={col}"));
             }
-            if let Some(note) = layout_note {
-                scan.push_str(&note);
+            // Columnar tables report how much of the query runs
+            // column-at-a-time.
+            if table.is_columnar() {
+                let coverage = match (&plan.filter, &plan.body) {
+                    (Filter::Rows(_), _) => "none",
+                    (_, Body::GeneralAggregate | Body::Exprs(_)) => "partial",
+                    _ => "full",
+                };
+                scan.push_str(&format!(" layout=columnar vectorized={coverage}"));
             }
-            scan.push_str(&format!(" est_rows={:.1}", plan.est_rows));
-            if analyze {
-                let actual = plan.candidates.as_ref().map_or(nrows, Vec::len);
-                scan.push_str(&format!(" actual_rows={actual}"));
-            }
-            lines.push(scan);
+            format!("{scan} est_rows={:.1}", access.est_rows)
         }
-    }
-    if analyze {
-        let rs = run_select(cat, sel)?;
-        lines.push(format!("Rows returned: {}", rs.len()));
-    }
-    let rows: Vec<Row> = lines.into_iter().map(|l| vec![Value::Text(l)]).collect();
-    Ok(ResultSet::new(vec!["plan".to_string()], rows))
+        // Joined queries materialise the base table; the index planner
+        // only serves single-table SELECTs.
+        Source::Join(chain) => {
+            let layout = chain.base.is_columnar().then_some(" layout=columnar");
+            let (layout, nrows) = (layout.unwrap_or_default(), chain.base.len() as f64);
+            format!("Scan {base} access=full-scan{layout} est_rows={nrows:.1}")
+        }
+    };
+    lines.push(node(source, prof.map(|p| p.source)));
+    lines
 }
 
-/// Group-key column indices, when every GROUP BY name resolves and the
-/// query has an aggregation shape at all.
-fn resolve_group_keys(sel: &SelectStmt, schema: &Schema) -> Option<Vec<usize>> {
-    if !is_aggregation(sel) {
-        return None;
-    }
-    sel.group_by.iter().map(|g| schema.index_of(g)).collect()
-}
-
-/// DISTINCT → ORDER BY → LIMIT, shared by both execution paths.
+/// DISTINCT → ORDER BY → LIMIT, shared by both execution paths; each step
+/// the statement has is one pass of the profile.
 fn finalize(
     sel: &SelectStmt,
     columns: Vec<String>,
     mut out_rows: Vec<Row>,
+    prof: &mut Profile,
 ) -> Result<ResultSet, DbError> {
     if sel.distinct {
+        let started = Instant::now();
         let mut seen: HashSet<Vec<ValueKey>> = HashSet::with_capacity(out_rows.len());
         out_rows.retain(|r| seen.insert(r.iter().map(ValueKey::of).collect()));
+        prof.distinct.rows = out_rows.len();
+        end_pass(started, [&mut prof.distinct]);
     }
-
     if !sel.order_by.is_empty() {
+        let started = Instant::now();
         let mut keys = Vec::with_capacity(sel.order_by.len());
         for k in &sel.order_by {
             let idx = match k.position {
@@ -1813,14 +1840,17 @@ fn finalize(
                     return ord;
                 }
             }
-            std::cmp::Ordering::Equal
+            Ordering::Equal
         });
+        prof.sort.rows = out_rows.len();
+        end_pass(started, [&mut prof.sort]);
     }
-
     if let Some(n) = sel.limit {
+        let started = Instant::now();
         out_rows.truncate(n);
+        prof.limit.rows = out_rows.len();
+        end_pass(started, [&mut prof.limit]);
     }
-
     Ok(ResultSet::new(columns, out_rows))
 }
 
@@ -1835,128 +1865,122 @@ fn resolve_output_column(columns: &[String], name: &str) -> Option<usize> {
     })
 }
 
-/// Which accumulated/joined columns implement a join clause.
+/// Which accumulated/joined columns implement a join clause: the ON
+/// columns in either order.
 fn resolve_join_keys(
     schema: &Schema,
     jschema: &Schema,
     j: &JoinClause,
 ) -> Result<(usize, usize), DbError> {
-    let (acc_key, new_key) = if schema.index_of(&j.left_col).is_some()
-        && jschema.index_of(&j.right_col).is_some()
-    {
-        (&j.left_col, &j.right_col)
-    } else if schema.index_of(&j.right_col).is_some() && jschema.index_of(&j.left_col).is_some() {
-        (&j.right_col, &j.left_col)
-    } else {
-        return Err(DbError::NoSuchColumn(format!(
-            "join keys {} / {} not found",
-            j.left_col, j.right_col
-        )));
-    };
-    let ai = schema.index_of(acc_key).expect("checked above");
-    let ni = jschema.index_of(new_key).expect("checked above");
-    Ok((ai, ni))
+    let keys = |acc: &str, new: &str| Some((schema.index_of(acc)?, jschema.index_of(new)?));
+    keys(&j.left_col, &j.right_col)
+        .or_else(|| keys(&j.right_col, &j.left_col))
+        .ok_or_else(|| {
+            DbError::NoSuchColumn(format!(
+                "join keys {} / {} not found",
+                j.left_col, j.right_col
+            ))
+        })
 }
 
-/// Build the joined input relation with hash equi-joins. The hash table is
-/// built on the smaller input; output column names are qualified
-/// (`table.column`) so both sides stay addressable. Output order is
-/// accumulated-major / joined-minor regardless of build side, matching the
-/// nested-loop reference.
-fn join_input(
-    cat: Catalog<'_>,
-    base: &str,
-    joins: &[JoinClause],
-) -> Result<(Schema, Vec<Row>), DbError> {
-    let (bs, brows) = materialize(cat, base)?;
-    let mut schema = qualify(&bs, base)?;
-    let mut rows = brows;
-
+/// Pin every table of a join chain and resolve each step's key columns,
+/// in the chain's order (so the first missing table or key is the error).
+fn plan_joins(cat: Catalog<'_>, base: &str, joins: &[JoinClause]) -> Result<JoinChain, DbError> {
+    let base_table = cat.pin(base)?;
+    let mut schema = qualify(&base_table.schema, base)?;
+    let mut steps = Vec::with_capacity(joins.len());
     for j in joins {
-        let (js, jrows) = materialize(cat, &j.table)?;
-        let jschema = qualify(&js, &j.table)?;
+        let table = cat.pin(&j.table)?;
+        let jschema = qualify(&table.schema, &j.table)?;
         let (ai, ni) = resolve_join_keys(&schema, &jschema, j)?;
-
-        let out = if jrows.len() <= rows.len() {
-            // Build on the joined side, probe with accumulated rows.
-            let mut built: HashMap<ValueKey, Vec<usize>> = HashMap::new();
-            for (k, r) in jrows.iter().enumerate() {
-                let key = ValueKey::of(&r[ni]);
-                if !key.is_null() {
-                    built.entry(key).or_default().push(k);
-                }
-            }
-            let mut out = Vec::new();
-            for r in &rows {
-                let key = ValueKey::of(&r[ai]);
-                if key.is_null() {
-                    continue; // NULL keys never match
-                }
-                if let Some(matches) = built.get(&key) {
-                    for &k in matches {
-                        let mut joined = r.clone();
-                        joined.extend(jrows[k].iter().cloned());
-                        out.push(joined);
-                    }
-                }
-            }
-            out
-        } else {
-            // Build on the (smaller) accumulated side; bucket matches per
-            // accumulated row, then emit in accumulated order.
-            let mut built: HashMap<ValueKey, Vec<usize>> = HashMap::new();
-            for (a, r) in rows.iter().enumerate() {
-                let key = ValueKey::of(&r[ai]);
-                if !key.is_null() {
-                    built.entry(key).or_default().push(a);
-                }
-            }
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
-            for (k, r) in jrows.iter().enumerate() {
-                let key = ValueKey::of(&r[ni]);
-                if key.is_null() {
-                    continue;
-                }
-                if let Some(accs) = built.get(&key) {
-                    for &a in accs {
-                        buckets[a].push(k);
-                    }
-                }
-            }
-            let mut out = Vec::new();
-            for (r, bucket) in rows.iter().zip(&buckets) {
-                for &k in bucket {
-                    let mut joined = r.clone();
-                    joined.extend(jrows[k].iter().cloned());
-                    out.push(joined);
-                }
-            }
-            out
-        };
-
         let mut cols = schema.columns;
         cols.extend(jschema.columns);
         schema = Schema::new(cols)?;
-        rows = out;
+        steps.push((table, ai, ni));
     }
-    Ok((schema, rows))
+    Ok(JoinChain {
+        base: base_table,
+        steps,
+        schema,
+    })
 }
 
-/// Nested-loop join used by the reference executor.
+/// Run a join chain with hash equi-joins, one pass per step. The hash
+/// table is built on the smaller input; output order is accumulated-major
+/// / joined-minor regardless of build side, matching the nested-loop
+/// reference.
+fn hash_join(chain: &JoinChain, prof: &mut Profile) -> Vec<Row> {
+    let started = Instant::now();
+    let mut rows = chain.base.rows().to_vec();
+    prof.source.rows = rows.len();
+    end_pass(started, [&mut prof.source]);
+
+    for (table, ai, ni) in &chain.steps {
+        let started = Instant::now();
+        let (ai, ni, jrows) = (*ai, *ni, table.rows());
+        // NULL keys never match.
+        let key = |r: &Row, c: usize| Some(ValueKey::of(&r[c])).filter(|k| !k.is_null());
+        let index = |side: &[Row], c: usize| {
+            let mut built: HashMap<ValueKey, Vec<usize>> = HashMap::new();
+            for (i, r) in side.iter().enumerate() {
+                if let Some(k) = key(r, c) {
+                    built.entry(k).or_default().push(i);
+                }
+            }
+            built
+        };
+        // The joined rows matching each accumulated row, in joined order.
+        let (built, buckets);
+        let matches: Vec<&[usize]> = if jrows.len() <= rows.len() {
+            // Build on the joined side, probe with accumulated rows.
+            built = index(jrows, ni);
+            rows.iter()
+                .map(|r| {
+                    key(r, ai)
+                        .and_then(|k| built.get(&k))
+                        .map_or(&[][..], Vec::as_slice)
+                })
+                .collect()
+        } else {
+            // Build on the (smaller) accumulated side; bucket matches per
+            // accumulated row.
+            let acc = index(&rows, ai);
+            let mut b: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
+            for (k, r) in jrows.iter().enumerate() {
+                for &a in key(r, ni).and_then(|k| acc.get(&k)).into_iter().flatten() {
+                    b[a].push(k);
+                }
+            }
+            buckets = b;
+            buckets.iter().map(Vec::as_slice).collect()
+        };
+        let mut out = Vec::new();
+        for (r, ks) in rows.iter().zip(matches) {
+            for &k in ks {
+                let mut joined = r.clone();
+                joined.extend(jrows[k].iter().cloned());
+                out.push(joined);
+            }
+        }
+        rows = out;
+        prof.joins.push(NodeStats {
+            rows: rows.len(),
+            time: started.elapsed(),
+        });
+    }
+    rows
+}
+
+/// Nested-loop join over table snapshots, used by the reference executor.
 fn join_input_nested_loop(
     cat: Catalog<'_>,
     base: &str,
     joins: &[JoinClause],
 ) -> Result<(Schema, Vec<Row>), DbError> {
-    let (bs, brows) = materialize(cat, base)?;
-    let mut schema = qualify(&bs, base)?;
-    let mut rows = brows;
-
-    for j in joins {
-        let (js, jrows) = materialize(cat, &j.table)?;
-        let jschema = qualify(&js, &j.table)?;
-        let (ai, ni) = resolve_join_keys(&schema, &jschema, j)?;
-
+    let chain = plan_joins(cat, base, joins)?;
+    let mut rows = chain.base.rows().to_vec();
+    for (table, ai, ni) in &chain.steps {
+        let (ai, ni, jrows) = (*ai, *ni, table.rows().to_vec());
         let mut out = Vec::new();
         for r in &rows {
             if r[ai].is_null() {
@@ -1970,13 +1994,9 @@ fn join_input_nested_loop(
                 }
             }
         }
-
-        let mut cols = schema.columns;
-        cols.extend(jschema.columns);
-        schema = Schema::new(cols)?;
         rows = out;
     }
-    Ok((schema, rows))
+    Ok((chain.schema, rows))
 }
 
 fn qualify(schema: &Schema, table: &str) -> Result<Schema, DbError> {
@@ -2048,20 +2068,23 @@ fn plan_fast(sel: &SelectStmt, schema: &Schema, key_idx: &[usize]) -> Option<Vec
 /// in-database aggregation beat row-at-a-time processing in the frontend
 /// (paper §4.2). Partial states from parallel segments combine with
 /// [`FastAgg::merge`].
-struct FastAgg {
-    plan: Vec<FastItem>,
-    key_idx: Vec<usize>,
+struct FastAgg<'p> {
+    plan: &'p [FastItem],
+    key_idx: &'p [usize],
+    /// Rows fed so far — the filter's rows out.
+    rows_in: usize,
     group_of: HashMap<Vec<u8>, usize>,
     keys: Vec<Vec<Value>>,
     key_bytes: Vec<Vec<u8>>,
     accs: Vec<Vec<Accumulator>>,
 }
 
-impl FastAgg {
-    fn new(plan: Vec<FastItem>, key_idx: Vec<usize>) -> Self {
+impl<'p> FastAgg<'p> {
+    fn new(plan: &'p [FastItem], key_idx: &'p [usize]) -> Self {
         let mut agg = FastAgg {
             plan,
             key_idx,
+            rows_in: 0,
             group_of: HashMap::new(),
             keys: Vec::new(),
             key_bytes: Vec::new(),
@@ -2087,60 +2110,28 @@ impl FastAgg {
             .collect()
     }
 
-    fn update(&mut self, row: &Row) {
+    /// Feed one row, given as its cell accessor: a borrowed row cell, or a
+    /// value read straight from a column store's typed vectors (no full
+    /// row materialization).
+    fn update<V: Borrow<Value>>(&mut self, cell: impl Fn(usize) -> V) {
+        self.rows_in += 1;
         let gi = if self.key_idx.is_empty() {
             0
         } else {
             let mut key = Vec::with_capacity(self.key_idx.len() * 9);
-            for &i in &self.key_idx {
-                encode_value_bytes(&row[i], &mut key);
+            for &i in self.key_idx {
+                encode_value_bytes(cell(i).borrow(), &mut key);
             }
             match self.group_of.get(&key) {
                 Some(&gi) => gi,
                 None => {
                     let gi = self.keys.len();
-                    self.keys
-                        .push(self.key_idx.iter().map(|&i| row[i].clone()).collect());
-                    self.key_bytes.push(key.clone());
-                    self.group_of.insert(key, gi);
-                    let fresh = self.fresh_accs();
-                    self.accs.push(fresh);
-                    gi
-                }
-            }
-        };
-        let group_accs = &mut self.accs[gi];
-        let star_value = Value::Int(1);
-        let mut a = 0;
-        for it in &self.plan {
-            if let FastItem::Agg(_, col) = it {
-                let v = match col {
-                    Some(i) => &row[*i],
-                    None => &star_value,
-                };
-                group_accs[a].update(v);
-                a += 1;
-            }
-        }
-    }
-
-    /// [`FastAgg::update`] fed from a column store: key bytes and
-    /// aggregate inputs come straight from the typed vectors, with no full
-    /// row materialization.
-    fn update_at(&mut self, store: &ColumnStore, pos: usize) {
-        let gi = if self.key_idx.is_empty() {
-            0
-        } else {
-            let mut key = Vec::with_capacity(self.key_idx.len() * 9);
-            for &i in &self.key_idx {
-                encode_value_bytes(&store.value(pos, i), &mut key);
-            }
-            match self.group_of.get(&key) {
-                Some(&gi) => gi,
-                None => {
-                    let gi = self.keys.len();
-                    self.keys
-                        .push(self.key_idx.iter().map(|&i| store.value(pos, i)).collect());
+                    self.keys.push(
+                        self.key_idx
+                            .iter()
+                            .map(|&i| cell(i).borrow().clone())
+                            .collect(),
+                    );
                     self.key_bytes.push(key.clone());
                     self.group_of.insert(key, gi);
                     let fresh = self.fresh_accs();
@@ -2151,13 +2142,12 @@ impl FastAgg {
         };
         let group_accs = &mut self.accs[gi];
         let mut a = 0;
-        for it in &self.plan {
+        for it in self.plan {
             if let FastItem::Agg(_, col) = it {
-                let v = match col {
-                    Some(i) => store.value(pos, *i),
-                    None => Value::Int(1),
-                };
-                group_accs[a].update(&v);
+                match col {
+                    Some(i) => group_accs[a].update(cell(*i).borrow()),
+                    None => group_accs[a].update(&Value::Int(1)),
+                }
                 a += 1;
             }
         }
@@ -2167,6 +2157,7 @@ impl FastAgg {
     /// append in the other segment's first-seen order, so merging partials
     /// in segment order reproduces the sequential group order.
     fn merge(&mut self, other: FastAgg) {
+        self.rows_in += other.rows_in;
         if self.key_idx.is_empty() {
             for (a, o) in self.accs[0].iter_mut().zip(&other.accs[0]) {
                 a.merge(o);
@@ -2193,45 +2184,36 @@ impl FastAgg {
     }
 
     fn finish(self) -> Result<Vec<Row>, DbError> {
-        let mut out = Vec::with_capacity(self.keys.len());
-        for (key, group_accs) in self.keys.iter().zip(&self.accs) {
-            let mut row = Vec::with_capacity(self.plan.len());
-            let mut a = 0;
-            for it in &self.plan {
-                match it {
-                    FastItem::Key(k) => row.push(key[*k].clone()),
-                    FastItem::Agg(..) => {
-                        row.push(group_accs[a].finish().map_err(DbError::Type)?);
-                        a += 1;
-                    }
-                }
+        self.keys
+            .iter()
+            .zip(&self.accs)
+            .map(|(key, accs)| agg_row(self.plan, |k| key[k].clone(), accs))
+            .collect()
+    }
+}
+
+/// One output row of a streaming aggregation: key slot `k` is `key(k)`,
+/// and aggregate slots take the group's accumulators in item order.
+fn agg_row<'a>(
+    plan: &[FastItem],
+    key: impl Fn(usize) -> Value,
+    accs: impl IntoIterator<Item = &'a Accumulator>,
+) -> Result<Row, DbError> {
+    let mut accs = accs.into_iter();
+    plan.iter()
+        .map(|it| match it {
+            FastItem::Key(k) => Ok(key(*k)),
+            FastItem::Agg(..) => {
+                let acc = accs.next().expect("one accumulator per aggregate");
+                acc.finish().map_err(DbError::Type)
             }
-            out.push(row);
-        }
-        Ok(out)
-    }
+        })
+        .collect()
 }
 
-/// Slice-based wrapper used by the general path (post-join/filter input).
-fn try_fast_aggregate(
-    sel: &SelectStmt,
-    schema: &Schema,
-    rows: &[Row],
-    key_idx: &[usize],
-) -> Option<Result<Vec<Row>, DbError>> {
-    let plan = plan_fast(sel, schema, key_idx)?;
-    let mut agg = FastAgg::new(plan, key_idx.to_vec());
-    for row in rows {
-        agg.update(row);
-    }
-    Some(agg.finish())
-}
-
-fn aggregate_project(
-    sel: &SelectStmt,
-    schema: &Schema,
-    rows: &[Row],
-) -> Result<NamedRows, DbError> {
+/// General aggregation: group the rows by the GROUP BY key, then evaluate
+/// each item with its aggregates substituted per group.
+fn aggregate_project(sel: &SelectStmt, schema: &Schema, rows: &[Row]) -> Result<Vec<Row>, DbError> {
     // Group rows by the GROUP BY key.
     let key_idx: Result<Vec<usize>, DbError> = sel
         .group_by
@@ -2243,10 +2225,6 @@ fn aggregate_project(
         })
         .collect();
     let key_idx = key_idx?;
-
-    if let Some(fast) = try_fast_aggregate(sel, schema, rows, &key_idx) {
-        return Ok((output_names(sel, schema), fast?));
-    }
 
     let mut group_of: HashMap<String, usize> = HashMap::new();
     let mut groups: Vec<Vec<&Row>> = Vec::new();
@@ -2269,13 +2247,12 @@ fn aggregate_project(
         }
     }
 
-    let columns = output_names(sel, schema);
     let null_row: Row = vec![Value::Null; schema.arity()];
     let mut out = Vec::with_capacity(groups.len());
     for g in &groups {
         let rep: &Row = g.first().copied().unwrap_or(&null_row);
         let ctx = RowCtx { schema, row: rep };
-        let mut projected = Vec::with_capacity(columns.len());
+        let mut projected = Vec::with_capacity(sel.items.len());
         for item in &sel.items {
             match item {
                 SelectItem::Star => projected.extend(rep.iter().cloned()),
@@ -2287,7 +2264,7 @@ fn aggregate_project(
         }
         out.push(projected);
     }
-    Ok((columns, out))
+    Ok(out)
 }
 
 /// Replace every aggregate call in `expr` with the literal aggregate value
@@ -2382,12 +2359,7 @@ pub(crate) fn encode_value(v: &Value) -> String {
         Value::Null => "\u{0}null".to_string(),
         Value::Text(s) => format!("t:{s}"),
         Value::Bool(b) => format!("b:{b}"),
-        other => {
-            let f = other.as_f64().unwrap_or(f64::NAN);
-            let f = if f == 0.0 { 0.0 } else { f }; // normalize -0.0
-            let f = if f.is_nan() { f64::NAN } else { f }; // canonical NaN
-            format!("n:{}", f.to_bits())
-        }
+        other => format!("n:{}", norm_bits(other.as_f64().unwrap_or(f64::NAN))),
     }
 }
 
@@ -2406,11 +2378,8 @@ fn encode_value_bytes(v: &Value, out: &mut Vec<u8>) {
             out.push(u8::from(*b));
         }
         other => {
-            let f = other.as_f64().unwrap_or(f64::NAN);
-            let f = if f == 0.0 { 0.0 } else { f }; // normalize -0.0
-            let f = if f.is_nan() { f64::NAN } else { f }; // canonical NaN
             out.push(1);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
+            out.extend_from_slice(&norm_bits(other.as_f64().unwrap_or(f64::NAN)).to_le_bytes());
         }
     }
 }

@@ -11,7 +11,8 @@ fn failed_batch_append_poisons_later_autocommit_writes() {
     std::fs::remove_file(&dump).ok();
     std::fs::remove_file(&wal).ok();
 
-    let (db, _) = Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
+    let (db, _) =
+        Engine::open_durable(&dump, &wal, WalOptions::with_sync(SyncPolicy::Off)).unwrap();
     let db = Arc::new(db);
     db.execute("CREATE TABLE t (a INTEGER, s TEXT)").unwrap();
 
@@ -22,7 +23,10 @@ fn failed_batch_append_poisons_later_autocommit_writes() {
     let big = "y".repeat(257 * 1024 * 1024);
     txn.execute(&format!("INSERT INTO t VALUES (2, '{big}')"))
         .unwrap();
-    assert!(txn.commit().is_err(), "oversized frame must fail the commit");
+    assert!(
+        txn.commit().is_err(),
+        "oversized frame must fail the commit"
+    );
 
     // The engine keeps running; an autocommit write succeeds and is acked.
     db.execute("INSERT INTO t VALUES (3, 'acked')").unwrap();

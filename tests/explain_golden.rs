@@ -1,31 +1,21 @@
 //! Golden-file tests for `EXPLAIN` across the four access paths
 //! (point-lookup, in-list, range-window, full-scan) plus the falsified
-//! path, and an `EXPLAIN ANALYZE` check that actual candidate-row counts
-//! match what the query really touched.
+//! path, `EXPLAIN ANALYZE` goldens pinning every node's `actual_rows`
+//! (with the `time_ms=` wall times masked), and an `EXPLAIN ANALYZE`
+//! check that actual candidate-row counts match what the query really
+//! touched.
 //!
 //! Regenerate the goldens with `BLESS=1 cargo test -p perfbase --test
 //! explain_golden` after an intentional plan-format change.
 
+mod common;
+
 use perfbase::sqldb::Engine;
 use std::path::PathBuf;
 
-/// 20 deterministic rows; hash index on `run_index`, ordered index on
-/// `nodes`.
+/// The row-layout `runs` fixture (see [`common::runs`]).
 fn fixture() -> Engine {
-    let e = Engine::new();
-    e.execute("CREATE TABLE runs (run_index INTEGER NOT NULL, fs TEXT, nodes INTEGER, bw FLOAT)")
-        .unwrap();
-    let fs = ["ufs", "nfs", "pvfs"];
-    let rows: Vec<String> = (1..=20)
-        .map(|i| format!("({i}, '{}', {}, {}.0)", fs[i % 3], 1 << (i % 4), i * 10))
-        .collect();
-    e.execute(&format!("INSERT INTO runs VALUES {}", rows.join(",")))
-        .unwrap();
-    e.execute("CREATE INDEX ix_run ON runs (run_index)")
-        .unwrap();
-    e.execute("CREATE ORDERED INDEX ox_nodes ON runs (nodes)")
-        .unwrap();
-    e
+    common::runs(false)
 }
 
 fn explain(e: &Engine, sql: &str) -> String {
@@ -117,23 +107,7 @@ fn explain_falsified() {
 /// COLUMNAR` layout. Scan lines gain `layout=columnar vectorized=...`
 /// annotations; row-table goldens stay byte-identical.
 fn columnar_fixture() -> Engine {
-    let e = Engine::new();
-    e.execute(
-        "CREATE TABLE runs (run_index INTEGER NOT NULL, fs TEXT, nodes INTEGER, bw FLOAT) \
-         USING COLUMNAR",
-    )
-    .unwrap();
-    let fs = ["ufs", "nfs", "pvfs"];
-    let rows: Vec<String> = (1..=20)
-        .map(|i| format!("({i}, '{}', {}, {}.0)", fs[i % 3], 1 << (i % 4), i * 10))
-        .collect();
-    e.execute(&format!("INSERT INTO runs VALUES {}", rows.join(",")))
-        .unwrap();
-    e.execute("CREATE INDEX ix_run ON runs (run_index)")
-        .unwrap();
-    e.execute("CREATE ORDERED INDEX ox_nodes ON runs (nodes)")
-        .unwrap();
-    e
+    common::runs(true)
 }
 
 #[test]
@@ -231,4 +205,64 @@ fn analyze_reports_actual_candidate_rows() {
         let plain = e.query(sql.trim_start_matches("EXPLAIN ANALYZE ")).unwrap();
         assert_eq!(plain.len(), returned, "{sql}");
     }
+}
+
+/// `EXPLAIN ANALYZE` output with every `time_ms=<wall time>` replaced by
+/// `time_ms=*`, so the goldens pin the plan shape and row counts only.
+fn analyze(e: &Engine, sql: &str) -> String {
+    let text = explain(e, sql);
+    let mut out = String::with_capacity(text.len());
+    for (i, part) in text.split(" time_ms=").enumerate() {
+        if i == 0 {
+            out.push_str(part);
+        } else {
+            let rest = part.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+            assert!(rest.len() < part.len(), "time_ms without a value in {text}");
+            out.push_str(" time_ms=*");
+            out.push_str(rest);
+        }
+    }
+    out
+}
+
+#[test]
+fn analyze_index_path_golden() {
+    let e = fixture();
+    check_golden(
+        "explain_analyze_range_window.txt",
+        &analyze(
+            &e,
+            "EXPLAIN ANALYZE SELECT DISTINCT fs FROM runs WHERE nodes >= 2 AND nodes < 8 \
+             AND bw > 50.0 ORDER BY fs LIMIT 2",
+        ),
+    );
+}
+
+#[test]
+fn analyze_columnar_vectorized_full_golden() {
+    let e = columnar_fixture();
+    check_golden(
+        "explain_analyze_columnar_full.txt",
+        &analyze(
+            &e,
+            "EXPLAIN ANALYZE SELECT fs, avg(bw), count(*) FROM runs WHERE nodes = 4 GROUP BY fs",
+        ),
+    );
+}
+
+#[test]
+fn analyze_join_golden() {
+    let e = fixture();
+    e.execute("CREATE TABLE hosts (nodes INTEGER, rack TEXT)")
+        .unwrap();
+    e.execute("INSERT INTO hosts VALUES (1, 'r1'), (2, 'r1'), (8, 'r2')")
+        .unwrap();
+    check_golden(
+        "explain_analyze_join.txt",
+        &analyze(
+            &e,
+            "EXPLAIN ANALYZE SELECT hosts.rack, count(*) FROM runs \
+             JOIN hosts ON runs.nodes = hosts.nodes WHERE runs.bw > 100.0 GROUP BY hosts.rack",
+        ),
+    );
 }

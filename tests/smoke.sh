@@ -36,6 +36,7 @@ cargo test -q -p perfbase --test replication_failover
 
 echo "== explain plans (golden files) + telemetry round trip =="
 cargo test -q -p perfbase --test explain_golden
+cargo test -q -p perfbase --test explain_counters
 cargo test -q -p perfbase --test telemetry_export
 cargo test -q -p perfbase --test transfer_stats
 
